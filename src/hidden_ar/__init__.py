@@ -6,7 +6,6 @@ targets."""
 from .adaptive import AdaptiveTrace, adaptive_filter, error_report, s_star_limit
 from .errors import (
     ConditionA0Violated,
-    DegenerateDenominator,
     DegeneratePosterior,
     FisherSingular,
     FlatLikelihood,
@@ -33,6 +32,7 @@ from .model_core import (
     riccati_map,
     scalar_fisher,
     stationary,
+    stationary_from,
     stationary_gradient,
     validate,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "AdaptiveTrace",
     "ConditionA0Violated",
     "COORDINATES",
-    "DegenerateDenominator",
     "DegeneratePosterior",
     "EstimatorTrace",
     "ExperimentConfig",
@@ -99,6 +98,7 @@ __all__ = [
     "scalar_fisher",
     "simulate",
     "stationary",
+    "stationary_from",
     "stationary_gradient",
     "validate",
 ]

@@ -35,6 +35,7 @@ from .model_core import (
     ParamProblem,
     scalar_fisher,
     stationary,
+    stationary_from,
     stationary_gradient,
 )
 from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_scalar
@@ -71,33 +72,6 @@ class AdaptiveTrace:
         if not self.tau + 1 <= t <= self.horizon:
             raise ValueError(f"adaptive track covers [{self.tau + 1}, {self.horizon}], got t={t}")
         return float(self.m_star[t - self.tau - 1])
-
-
-def _plug_in_coefficients(
-    problem: ParamProblem, theta_plug: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Filter coefficients (A, e) for each plug-in parameter row.
-
-    The arithmetic mirrors the scalar stationary computation expression by
-    expression, so a constant row reproduces the stationary filter's
-    coefficients bit for bit.
-    """
-    n = len(theta_plug)
-    cols: dict[str, np.ndarray] = {}
-    for name in COORDINATES:
-        if name in problem.known:
-            cols[name] = np.full(n, problem.known[name])
-        else:
-            cols[name] = theta_plug[:, problem.unknown.index(name)]
-    a, b, f, s2 = cols["a"], cols["b"], cols["f"], cols["sigma2"]
-    c = s2 * (1.0 - a * a) / (f * f) - b * b
-    d = b * b * s2 / (f * f)
-    root = np.sqrt(c * c + 4.0 * d)
-    gamma = 0.5 * (root - c)
-    p = s2 + (f * f) * gamma
-    a_coef = a * s2 / p
-    e_coef = a * f * gamma / p
-    return a_coef, e_coef
 
 
 def _fit_track(x: np.ndarray, problem: ParamProblem, delta: float) -> EstimatorTrace:
@@ -147,10 +121,14 @@ def adaptive_filter(
             [track.prelim, track.prelim] + [track.path[: horizon - tau - 2]]
         )
 
-    a_coef, e_coef = _plug_in_coefficients(problem, theta_plug)
+    coords = {
+        name: problem.known[name] if name in problem.known else theta_plug[:, problem.unknown.index(name)]
+        for name in COORDINATES
+    }
+    sq = stationary_from(**coords)
 
-    a_list = a_coef.tolist()
-    e_list = e_coef.tolist()
+    a_list = sq.a_coef.tolist()
+    e_list = sq.gain.tolist()
     x_list = x[tau + 1 :].tolist()
     m_star = np.empty(horizon - tau)
     prev = float(m_star_init)

@@ -7,7 +7,8 @@ the inline parameter flags, which then also serve as the known coordinate
 values of the estimation problem.
 
 Exit codes: 0 success, 2 validation error (bad arguments, inadmissible
-parameters, unsupported sets), 1 runtime failure.
+parameters, unsupported sets), 1 runtime failure, including a Monte Carlo
+run in which every replication failed.
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def _cmd_montecarlo(args) -> int:
         }
         _print(line)
     _print({"written": sorted(paths.values())})
+    if not report.cells:
+        print("error: every replication failed; the report has no cells", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -58,16 +58,6 @@ class FisherSingular(HiddenArError, ArithmeticError):
     numerically singular, so the scoring correction is undefined."""
 
 
-class DegenerateDenominator(HiddenArError, ArithmeticError):
-    """Reserved diagnostic: a moment inversion hit a near-zero denominator.
-
-    The method of moments estimator resolves these events by clipping to the
-    bounds box and reporting them in its ``degenerate`` field instead of
-    raising, so this class is part of the public taxonomy but is not raised
-    by the library itself.
-    """
-
-
 class DegeneratePosterior(HiddenArError, ArithmeticError):
     """All posterior quadrature weights underflowed or became non-finite
     even after log-sum-exp stabilization; signals numerical failure."""

@@ -29,7 +29,7 @@ from .errors import UnsupportedCoordinate, UnsupportedSet
 from .likelihood import PosteriorSpec, bayes, mle
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
-from .onestep import EstimatorTrace, one_step_pair, one_step_scalar
+from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_scalar
 from .simulator import simulate
 
 _ESTIMATORS = ("mme", "onestep", "mle", "bayes", "adaptive")
@@ -65,6 +65,17 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}; choose from {_ESTIMATORS}")
+        if "onestep" in self.estimators or "adaptive" in self.estimators:
+            # theta_at needs t >= tau; the adaptive track starts at tau + 1.
+            first = 1 if "adaptive" in self.estimators else 0
+            for horizon in self.horizons:
+                tau = learning_interval(horizon, self.delta)
+                for v, t in _checkpoint_times(horizon, self.checkpoints):
+                    if t < tau + first:
+                        raise ValueError(
+                            f"checkpoint v={v} gives t={t} at T={horizon}, "
+                            f"before the learning interval ends (need t >= {tau + first})"
+                        )
 
     def to_dict(self) -> dict[str, Any]:
         return {

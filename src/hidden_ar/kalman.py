@@ -87,11 +87,8 @@ def filter_transient(
     return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None, params=params)
 
 
-def _stationary_means(
-    x: np.ndarray, m0: float, sq: StationaryQuantities, params: ModelParams
-) -> np.ndarray:
-    e = params.a * params.f * sq.gamma_star / sq.p
-    body, _ = lfilter([e], [1.0, -sq.a_coef], x[1:], zi=np.array([sq.a_coef * m0]))
+def _stationary_means(x: np.ndarray, m0: float, sq: StationaryQuantities) -> np.ndarray:
+    body, _ = lfilter([sq.gain], [1.0, -sq.a_coef], x[1:], zi=np.array([sq.a_coef * m0]))
     return np.concatenate(([m0], body))
 
 
@@ -99,7 +96,7 @@ def filter_stationary(params: ModelParams, x, m0: float = 0.0) -> FilterTrace:
     """Stationary filter m_t = A*m_{t-1} + (a*f*gamma_star/P)*x_t."""
     x = _as_series(x)
     sq = stationary(params)
-    m = _stationary_means(x, m0, sq, params)
+    m = _stationary_means(x, m0, sq)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
     return FilterTrace(m=m, gamma=sq.gamma_star, innovations=zeta, dm=None, params=params)
 
@@ -121,7 +118,7 @@ def filter_derivative(
     x = _as_series(x)
     sq = stationary(params)
     grad = stationary_gradient(params, wrt)
-    m = _stationary_means(x, m0, sq, params)
+    m = _stationary_means(x, m0, sq)
     u = grad.d_a_coef * m[:-1] + grad.d_gain * x[1:]
     body, _ = lfilter([1.0], [1.0, -sq.a_coef], u, zi=np.array([sq.a_coef * dm0]))
     dm = np.concatenate(([dm0], body))

@@ -183,23 +183,22 @@ class ParamProblem:
         """Extract the unknown coordinates of ``params`` in canonical order."""
         return np.array([getattr(params, name) for name in self.unknown], dtype=float)
 
-    def clip(self, values) -> tuple[np.ndarray, dict[str, str]]:
-        """Clip unknown-coordinate values into the closed bounds box.
+    def clip(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Clip unknown-coordinate values of shape (..., dim) into the closed
+        bounds box.
 
-        Returns the clipped values and a map coordinate -> "low" | "high"
-        for the coordinates that actually moved.
+        Returns the clipped values and an int8 array ``side`` of the same
+        shape: -1 where a value was raised to its lower bound (NaN
+        included), +1 where it was lowered to its upper bound, 0 elsewhere.
         """
-        values = np.atleast_1d(np.asarray(values, dtype=float)).copy()
-        flags: dict[str, str] = {}
-        for j, name in enumerate(self.unknown):
-            lo, hi = self.bounds[name]
-            if not values[j] >= lo:  # catches NaN as well
-                values[j] = lo
-                flags[name] = "low"
-            elif values[j] > hi:
-                values[j] = hi
-                flags[name] = "high"
-        return values, flags
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if values.shape[-1] != self.dim:
+            raise ValueError(f"expected {self.dim} values for {self.unknown}, got shape {values.shape}")
+        lo, hi = np.array([self.bounds[name] for name in self.unknown]).T
+        low = ~(values >= lo)  # catches NaN as well
+        high = values > hi
+        side = high.astype(np.int8) - low.astype(np.int8)
+        return np.where(low, lo, np.where(high, hi, values)), side
 
 
 def validate(params: ModelParams, problem: ParamProblem) -> ParamProblem:
@@ -227,7 +226,8 @@ def validate(params: ModelParams, problem: ParamProblem) -> ParamProblem:
 
 @dataclass(frozen=True)
 class StationaryQuantities:
-    """Stationary filter quantities at one parameter point.
+    """Stationary filter quantities at one parameter point, or elementwise
+    over broadcast arrays of parameter values.
 
     gamma_star : stationary filtering error variance
     big_gamma  : Gamma = f^2 * gamma_star
@@ -235,41 +235,52 @@ class StationaryQuantities:
     a_coef     : filter mean coefficient A = a * sigma2 / P, |A| < 1
     e_coef     : E = a * Gamma / P (A + E = a exactly)
     b_coef     : innovation coefficient B = a * Gamma / sqrt(P)
+    gain       : filter input coefficient e = a * f * gamma_star / P
     """
 
-    gamma_star: float
-    big_gamma: float
-    p: float
-    a_coef: float
-    e_coef: float
-    b_coef: float
+    gamma_star: float | np.ndarray
+    big_gamma: float | np.ndarray
+    p: float | np.ndarray
+    a_coef: float | np.ndarray
+    e_coef: float | np.ndarray
+    b_coef: float | np.ndarray
+    gain: float | np.ndarray
 
 
-def _quadratic_coefficients(params: ModelParams) -> tuple[float, float]:
-    c = params.sigma2 * (1.0 - params.a * params.a) / (params.f * params.f) - params.b * params.b
-    d = params.b * params.b * params.sigma2 / (params.f * params.f)
+def _quadratic_coefficients(a, b, f, sigma2):
+    c = sigma2 * (1.0 - a * a) / (f * f) - b * b
+    d = b * b * sigma2 / (f * f)
     return c, d
 
 
-def stationary(params: ModelParams) -> StationaryQuantities:
+def stationary_from(a, b, f, sigma2) -> StationaryQuantities:
     """Closed-form stationary quantities; gamma_star is the positive root of
-    g^2 + c*g - d = 0 (the variance recursion's attracting fixed point)."""
-    c, d = _quadratic_coefficients(params)
-    root = math.sqrt(c * c + 4.0 * d)
+    g^2 + c*g - d = 0 (the variance recursion's attracting fixed point).
+
+    The coordinates are floats or arrays that broadcast together. Float
+    inputs stay on Python float arithmetic; both square roots are correctly
+    rounded, so an array entry equals the float result bit for bit.
+    """
+    c, d = _quadratic_coefficients(a, b, f, sigma2)
+    sqrt = np.sqrt if isinstance(c, np.ndarray) else math.sqrt
+    root = sqrt(c * c + 4.0 * d)
     gamma_star = 0.5 * (root - c)
-    big_gamma = params.f * params.f * gamma_star
-    p = params.sigma2 + big_gamma
-    a_coef = params.a * params.sigma2 / p
-    e_coef = params.a * big_gamma / p
-    b_coef = params.a * big_gamma / math.sqrt(p)
+    big_gamma = f * f * gamma_star
+    p = sigma2 + big_gamma
     return StationaryQuantities(
         gamma_star=gamma_star,
         big_gamma=big_gamma,
         p=p,
-        a_coef=a_coef,
-        e_coef=e_coef,
-        b_coef=b_coef,
+        a_coef=a * sigma2 / p,
+        e_coef=a * big_gamma / p,
+        b_coef=a * big_gamma / sqrt(p),
+        gain=a * f * gamma_star / p,
     )
+
+
+def stationary(params: ModelParams) -> StationaryQuantities:
+    """Stationary quantities at one parameter point (see stationary_from)."""
+    return stationary_from(params.a, params.b, params.f, params.sigma2)
 
 
 def riccati_map(params: ModelParams, gamma: float) -> float:
@@ -318,7 +329,7 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
     if wrt not in COORDINATES:
         raise UnsupportedCoordinate(f"unknown coordinate {wrt!r}")
     a, b, f, s2 = params.a, params.b, params.f, params.sigma2
-    c, d = _quadratic_coefficients(params)
+    c, d = _quadratic_coefficients(a, b, f, s2)
     sq = stationary(params)
     g = sq.gamma_star
     p = sq.p

@@ -188,11 +188,11 @@ def mme(x_prefix, problem: ParamProblem) -> MmeEstimate:
     stats = s_statistics(x_prefix)
     raw, degenerate = _invert(stats, problem)
     values = np.array([raw[name] for name in problem.unknown])
-    clipped, flags = problem.clip(values)
+    clipped, side = problem.clip(values)
     return MmeEstimate(
         values=clipped,
         params=problem.point(clipped),
-        clip_flags=flags,
+        clip_flags={name: "low" if s < 0 else "high" for name, s in zip(problem.unknown, side) if s},
         degenerate=tuple(degenerate),
         stats=stats,
     )

@@ -170,19 +170,14 @@ def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> Es
             prev = prev + (corr[j] - prev) / steps[j]
             u[j] = prev
 
-    candidates = prelim_values[None, :] + u[1:]  # t = tau+2 .. T
-    path = np.empty_like(candidates)
-    clipped = np.zeros(len(candidates), dtype=bool)
-    for i in range(len(candidates)):
-        path[i], flags = problem.clip(candidates[i])
-        clipped[i] = bool(flags)
+    path, side = problem.clip(prelim_values[None, :] + u[1:])  # t = tau+2 .. T
     return EstimatorTrace(
         tau=tau,
         prelim=prelim_values,
         path=path,
         delta=delta,
         t_grid=np.arange(tau + 2, horizon + 1),
-        clipped=clipped,
+        clipped=side.any(axis=1),
         problem=problem,
         prelim_estimate=prelim_est,
     )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import hidden_ar.harness as harness_mod
 from hidden_ar.cli import main
 
 from conftest import REF_VALUES
@@ -278,3 +279,28 @@ class TestMonteCarlo:
             ],
         )
         assert code == 2
+
+    def test_horizon_shorter_than_learning_interval_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            ["montecarlo", "--T", "10", "--replications", "2", "--out", str(tmp_path)],
+        )
+        assert code == 2
+        assert "T >= 16" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_every_replication_failed_exit_1(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(harness_mod, "one_step_scalar", broken)
+        code, _, err = run_cli(
+            capsys,
+            ["montecarlo", "--T", "300", "--replications", "2", "--out", str(tmp_path)],
+        )
+        assert code == 1
+        assert "every replication failed" in err
+        with open(tmp_path / "report.json") as fh:
+            doc = json.load(fh)
+        assert doc["cells"] == []
+        assert {row["estimator"] for row in doc["replications"]} == {"error"}

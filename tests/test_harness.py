@@ -8,6 +8,7 @@ import pytest
 
 from hidden_ar import (
     ExperimentConfig,
+    HorizonTooShort,
     ParamProblem,
     export,
     fisher_info,
@@ -58,6 +59,23 @@ class TestConfig:
             small_config(checkpoints=())
         with pytest.raises(ValueError):
             small_config(estimators=("glm",))
+        # Horizon below the learning-interval minimum, delta out of range.
+        with pytest.raises(HorizonTooShort):
+            small_config(horizons=(10,))
+        with pytest.raises(ValueError):
+            small_config(delta=0.3)
+        # At T=1000, tau=63: t=10 precedes it for both estimators.
+        with pytest.raises(ValueError):
+            small_config(horizons=(1000,), checkpoints=(0.01, 1.0))
+        with pytest.raises(ValueError):
+            small_config(horizons=(1000,), checkpoints=(0.01, 1.0), estimators=("onestep",))
+        # t = tau is enough for onestep; adaptive needs t >= tau + 1.
+        small_config(horizons=(1000,), checkpoints=(0.063, 1.0), estimators=("onestep",))
+        with pytest.raises(ValueError):
+            small_config(horizons=(1000,), checkpoints=(0.063, 1.0))
+        small_config(horizons=(1000,), checkpoints=(0.064, 1.0))
+        # Estimators without a learning interval keep short horizons.
+        small_config(horizons=(10,), estimators=("mme",), delta=0.3)
 
     def test_problem_completed_at_construction(self):
         config = small_config()

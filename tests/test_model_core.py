@@ -1,5 +1,6 @@
 """Parameter validation, stationary quantities, gradients, information."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,14 @@ from hidden_ar import (
     ForbiddenPair,
     ModelParams,
     ParamProblem,
+    StationaryQuantities,
     UnsupportedCoordinate,
     UnsupportedSet,
     fisher_info,
     riccati_map,
     scalar_fisher,
     stationary,
+    stationary_from,
     stationary_gradient,
     validate,
 )
@@ -138,12 +141,33 @@ class TestParamProblem:
         )
 
     def test_clip(self, problem_fa):
-        values, flags = problem_fa.clip(np.array([7.0, -0.95]))
+        values, side = problem_fa.clip(np.array([7.0, -0.95]))
         np.testing.assert_array_equal(values, np.array([5.0, -0.9]))
-        assert flags == {"f": "high", "a": "low"}
-        values, flags = problem_fa.clip(np.array([1.0, 0.0]))
-        assert flags == {}
+        assert side.dtype == np.int8
+        np.testing.assert_array_equal(side, np.array([1, -1]))
+        values, side = problem_fa.clip(np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(side, np.array([0, 0]))
         np.testing.assert_array_equal(values, np.array([1.0, 0.0]))
+        # NaN goes to the lower bound and counts as raised.
+        values, side = problem_fa.clip(np.array([np.nan, 0.95]))
+        np.testing.assert_array_equal(values, np.array([0.1, 0.9]))
+        np.testing.assert_array_equal(side, np.array([-1, 1]))
+        with pytest.raises(ValueError):
+            problem_fa.clip(np.array([1.0, 0.0, 0.5]))
+
+    def test_clip_block_equals_rows(self, problem_fa):
+        rng = np.random.default_rng(7)
+        block = np.column_stack([rng.uniform(-1.0, 7.0, 50), rng.uniform(-1.2, 1.2, 50)])
+        block[3, 0] = np.nan
+        block[8] = [0.1, 0.9]  # exactly on the bounds: not moved
+        values, side = problem_fa.clip(block)
+        assert values.shape == block.shape and side.shape == block.shape
+        for i, row in enumerate(block):
+            row_values, row_side = problem_fa.clip(row)
+            np.testing.assert_array_equal(values[i], row_values)
+            np.testing.assert_array_equal(side[i], row_side)
+        assert side[3, 0] == -1 and not side[8].any()
+        assert (side != 0).any(axis=1).sum() > 10
 
     def test_validate_fills_known(self):
         prob = ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)})
@@ -189,6 +213,24 @@ class TestStationary:
             assert abs(sq.a_coef) < 1.0
             assert sq.gamma_star > 0.0
 
+    def test_array_function_matches_scalar(self):
+        rng = np.random.default_rng(103)
+        points = [random_params(rng) for _ in range(200)]
+        columns = {name: np.array([getattr(p, name) for p in points]) for name in COORDINATES}
+        block = stationary_from(**columns)
+        for field in dataclasses.fields(StationaryQuantities):
+            want = np.array([getattr(stationary(p), field.name) for p in points])
+            assert np.array_equal(getattr(block, field.name), want), field.name
+        # A float coordinate broadcasts against the array ones.
+        mixed = stationary_from(**dict(columns, sigma2=1.0))
+        want = np.array([stationary(p.replace(sigma2=1.0)).gain for p in points])
+        assert np.array_equal(mixed.gain, want)
+
+    def test_scalar_path_stays_on_floats(self):
+        sq = stationary(REF)
+        for field in dataclasses.fields(StationaryQuantities):
+            assert type(getattr(sq, field.name)) is float, field.name
+
     def test_coefficient_identities(self):
         rng = np.random.default_rng(102)
         for _ in range(100):
@@ -196,6 +238,8 @@ class TestStationary:
             sq = stationary(params)
             # A + E = a exactly in real arithmetic.
             assert abs(sq.a_coef + sq.e_coef - params.a) < 1e-12
+            # e = E / f in real arithmetic.
+            assert_close_rel(sq.gain, sq.e_coef / params.f, 1e-12)
             assert_close_rel(
                 sq.b_coef, params.a * sq.big_gamma / math.sqrt(sq.p), 1e-12
             )

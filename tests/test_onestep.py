@@ -116,6 +116,22 @@ class TestOneStepScalar:
             one_step_scalar(x, problem, prelim=[1e-9])
 
 
+class TestClippedRows:
+    def test_flags_exactly_the_moved_rows(self, problem_b):
+        # With an explicit preliminary the unclipped candidates do not depend
+        # on the bounds, so a wide-bounds run gives them directly.
+        x = simulate(REF, 400, seed=56).x
+        wide = one_step_scalar(x, problem_b, prelim=1.0).path[:, 0]
+        lo, hi = float(np.quantile(wide, 0.2)), float(np.quantile(wide, 0.8))
+        assert lo < 1.0 < hi  # the preliminary itself is not clipped
+        tight = ParamProblem(unknown=("b",), bounds={"b": (lo, hi)}, known=problem_b.known)
+        trace = one_step_scalar(x, tight, prelim=1.0)
+        moved = (wide < lo) | (wide > hi)
+        assert (wide < lo).any() and (wide > hi).any() and not moved.all()
+        np.testing.assert_array_equal(trace.clipped, moved)
+        np.testing.assert_array_equal(trace.path[:, 0], np.clip(wide, lo, hi))
+
+
 class TestZeroCorrection:
     """A configuration where every score increment is exactly zero.
 
