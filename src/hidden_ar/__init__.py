@@ -13,6 +13,7 @@ from .errors import (
     HiddenArError,
     HorizonTooShort,
     MismatchedLengths,
+    NonFiniteObservations,
     SeriesTooShort,
     UnsupportedCoordinate,
     UnsupportedSet,
@@ -66,6 +67,7 @@ __all__ = [
     "MmeEstimate",
     "ModelParams",
     "MomentStats",
+    "NonFiniteObservations",
     "ParamProblem",
     "PosteriorSpec",
     "SeriesTooShort",

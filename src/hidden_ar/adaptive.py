@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedLengths, UnsupportedSet
+from .errors import MismatchedLengths, UnsupportedSet, as_series
 from .kalman import FilterTrace, filter_stationary
 from .model_core import (
     COORDINATES,
@@ -100,7 +100,7 @@ def adaptive_filter(
     oracle track m_t(truth) for error reporting.
     """
     problem.require_complete()
-    x = np.asarray(x, dtype=float)
+    x = as_series(x, 2)
     horizon = len(x) - 1
 
     if frozen_at is not None:

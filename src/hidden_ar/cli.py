@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .adaptive import adaptive_filter, adaptive_to_csv, error_report, s_star_limit
-from .errors import HiddenArError
+from .errors import HiddenArError, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo
 from .kalman import filter_derivative, filter_stationary, filter_to_csv
 from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
@@ -88,7 +88,7 @@ def _load_or_simulate(args, params: ModelParams) -> np.ndarray:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "x" not in reader.fieldnames:
                 raise ValueError(f"{args.data} has no x column")
-            return np.array([float(row["x"]) for row in reader])
+            return as_series([float(row["x"]) for row in reader], 2)
     return simulate(params, args.T, args.seed, keep_hidden=False).x
 
 

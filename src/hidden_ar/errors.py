@@ -4,9 +4,14 @@ Errors that signal rejected inputs or configuration subclass ValueError;
 errors that signal numerical breakdown during an otherwise valid computation
 subclass ArithmeticError. The command line layer maps the former to exit
 code 2 and the latter (together with unexpected failures) to exit code 1.
+
+:func:`as_series` is the one check every entry point applies to an
+observation series.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class HiddenArError(Exception):
@@ -40,6 +45,10 @@ class SeriesTooShort(HiddenArError, ValueError):
     """The observation series has too few samples for the operation."""
 
 
+class NonFiniteObservations(HiddenArError, ValueError):
+    """The observation series contains a NaN or an infinite value."""
+
+
 class ZeroHorizon(HiddenArError, ValueError):
     """A simulation horizon below 1 was requested."""
 
@@ -66,3 +75,18 @@ class DegeneratePosterior(HiddenArError, ArithmeticError):
 class FlatLikelihood(HiddenArError, Warning):
     """Warning category: the likelihood grid scan was flat to within 1e-9,
     so the maximizer is reported from the grid argmax."""
+
+
+def as_series(x, min_length: int) -> np.ndarray:
+    """Return the observations as a 1-d float array, rejecting any other
+    shape, fewer than min_length values (SeriesTooShort) and NaN or
+    infinite entries (NonFiniteObservations)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < min_length:
+        raise SeriesTooShort(
+            f"need a 1-d series with at least {min_length} observations, got shape {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        first = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise NonFiniteObservations(f"observation x[{first}] = {x[first]} is not finite")
+    return x

@@ -33,6 +33,9 @@ from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_
 from .simulator import simulate
 
 _ESTIMATORS = ("mme", "onestep", "mle", "bayes", "adaptive")
+# Smallest checkpoint time t each estimator can run on: mme needs the four
+# observations x_0..x_3, mle and bayes need x_0 and x_1.
+_SHORTEST_PREFIX = {"mme": 3, "mle": 1, "bayes": 1}
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,14 @@ class ExperimentConfig:
                             f"checkpoint v={v} gives t={t} at T={horizon}, "
                             f"before the learning interval ends (need t >= {tau + first})"
                         )
+        shortest = max(_SHORTEST_PREFIX.get(name, 0) for name in self.estimators)
+        for horizon in self.horizons:
+            for v, t in _checkpoint_times(horizon, self.checkpoints):
+                if t < shortest:
+                    raise ValueError(
+                        f"checkpoint v={v} gives t={t} at T={horizon}; the selected "
+                        f"estimators need t >= {shortest}"
+                    )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import SeriesTooShort, UnsupportedCoordinate
+from .errors import UnsupportedCoordinate, as_series
 from .model_core import (
     ModelParams,
     StationaryQuantities,
@@ -58,18 +58,11 @@ class FilterTrace:
     params: ModelParams
 
 
-def _as_series(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise SeriesTooShort(f"need a 1-d series with at least 2 points, got shape {x.shape}")
-    return x
-
-
 def filter_transient(
     params: ModelParams, x, m0: float = 0.0, gamma0: float = 0.0
 ) -> FilterTrace:
     """Exact Kalman filter with running error variance from gamma0 >= 0."""
-    x = _as_series(x)
+    x = as_series(x, 2)
     if gamma0 < 0.0:
         raise ValueError(f"need gamma0 >= 0, got {gamma0}")
     a, f, s2 = params.a, params.f, params.sigma2
@@ -94,7 +87,7 @@ def _stationary_means(x: np.ndarray, m0: float, sq: StationaryQuantities) -> np.
 
 def filter_stationary(params: ModelParams, x, m0: float = 0.0) -> FilterTrace:
     """Stationary filter m_t = A*m_{t-1} + (a*f*gamma_star/P)*x_t."""
-    x = _as_series(x)
+    x = as_series(x, 2)
     sq = stationary(params)
     m = _stationary_means(x, m0, sq)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
@@ -115,7 +108,7 @@ def filter_derivative(
     """
     if wrt not in ("f", "b", "a"):
         raise UnsupportedCoordinate(f"no derivative filter for coordinate {wrt!r}")
-    x = _as_series(x)
+    x = as_series(x, 2)
     sq = stationary(params)
     grad = stationary_gradient(params, wrt)
     m = _stationary_means(x, m0, sq)

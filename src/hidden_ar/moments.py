@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShort
+from .errors import as_series
 from .model_core import ModelParams, ParamProblem
 
 _DEGENERATE_TOL = 1e-12
@@ -66,9 +66,7 @@ class MmeEstimate:
 
 def s_statistics(x) -> MomentStats:
     """Compute (S1, S2, S3) from X_0..X_T with divisor T = len(x) - 1."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 4:
-        raise SeriesTooShort(f"S-statistics need at least 4 observations, got {x.shape}")
+    x = as_series(x, 4)
     t_used = len(x) - 1
     d = np.diff(x)
     s1 = float(d @ d) / t_used

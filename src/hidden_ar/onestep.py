@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FisherSingular, HorizonTooShort
+from .errors import FisherSingular, HorizonTooShort, as_series
 from .kalman import filter_derivative
 from .model_core import FisherInfo, ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
 from .moments import MmeEstimate, mme
@@ -146,7 +146,7 @@ def _check_information(fisher: FisherInfo) -> np.ndarray:
 def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> EstimatorTrace:
     if method not in ("batch", "recurrent"):
         raise ValueError(f"method must be 'batch' or 'recurrent', got {method!r}")
-    x = np.asarray(x, dtype=float)
+    x = as_series(x, 2)
     horizon = len(x) - 1
     tau = learning_interval(horizon, delta)
     if prelim is None:

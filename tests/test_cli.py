@@ -93,6 +93,16 @@ class TestFilter:
         )
         assert code == 2
 
+    def test_non_finite_data_exit_2(self, capsys, tmp_path):
+        values = np.random.default_rng(8).standard_normal(500)
+        values[250] = np.nan
+        data = tmp_path / "x.csv"
+        write_series_csv(data, values)
+        for argv in (["filter", "--out", str(tmp_path)], ["mme"], ["mle"]):
+            code, _, err = run_cli(capsys, argv + ["--data", str(data)])
+            assert code == 2
+            assert "x[250]" in err
+
     def test_missing_x_column_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         with open(bad, "w") as fh:

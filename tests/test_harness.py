@@ -76,6 +76,14 @@ class TestConfig:
         small_config(horizons=(1000,), checkpoints=(0.064, 1.0))
         # Estimators without a learning interval keep short horizons.
         small_config(horizons=(10,), estimators=("mme",), delta=0.3)
+        # mme needs t >= 3, mle and bayes need t >= 1.
+        with pytest.raises(ValueError):
+            small_config(horizons=(1000,), checkpoints=(0.002, 1.0), estimators=("mme",))
+        small_config(horizons=(1000,), checkpoints=(0.003, 1.0), estimators=("mme",))
+        for name in ("mle", "bayes"):
+            with pytest.raises(ValueError):
+                small_config(horizons=(10,), checkpoints=(0.05, 1.0), estimators=(name,))
+            small_config(horizons=(10,), checkpoints=(0.1, 1.0), estimators=(name,))
 
     def test_problem_completed_at_construction(self):
         config = small_config()

@@ -7,17 +7,52 @@ import numpy as np
 import pytest
 
 from hidden_ar import (
+    NonFiniteObservations,
     SeriesTooShort,
     UnsupportedCoordinate,
+    adaptive_filter,
+    bayes,
     filter_derivative,
     filter_stationary,
     filter_transient,
+    log_likelihood,
+    mle,
+    mme,
+    one_step_pair,
+    one_step_scalar,
     simulate,
     stationary,
 )
 from hidden_ar.kalman import filter_to_csv
 
-from conftest import REF, random_params
+from conftest import REF, problem_for, random_params
+
+PROBLEM_B = problem_for(REF, ("b",))
+PROBLEM_FA = problem_for(REF, ("f", "a"))
+
+# Every entry point that takes an observation series.
+SERIES_ENTRY_POINTS = {
+    "filter_transient": lambda x: filter_transient(REF, x),
+    "filter_stationary": lambda x: filter_stationary(REF, x),
+    "filter_derivative": lambda x: filter_derivative(REF, x, "b"),
+    "mme": lambda x: mme(x, PROBLEM_B),
+    "one_step_scalar": lambda x: one_step_scalar(x, PROBLEM_B),
+    "one_step_pair": lambda x: one_step_pair(x, PROBLEM_FA),
+    "adaptive_filter": lambda x: adaptive_filter(x, PROBLEM_B),
+    "log_likelihood": lambda x: log_likelihood(x, REF),
+    "mle": lambda x: mle(x, PROBLEM_B),
+    "bayes": lambda x: bayes(x, PROBLEM_B),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(SERIES_ENTRY_POINTS))
+def test_non_finite_observations_rejected(entry, bad):
+    x = simulate(REF, 400, seed=209).x.copy()
+    SERIES_ENTRY_POINTS[entry](x)
+    x[200] = bad
+    with pytest.raises(NonFiniteObservations, match=r"x\[200\]"):
+        SERIES_ENTRY_POINTS[entry](x)
 
 
 def reference_transient(params, x, m0=0.0, gamma0=0.0):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hidden_ar import (
     DegeneratePosterior,
     FlatLikelihood,
+    ModelParams,
     ParamProblem,
     PosteriorSpec,
     SeriesTooShort,
@@ -17,7 +20,7 @@ from hidden_ar import (
     simulate,
     stationary,
 )
-from hidden_ar.likelihood import _golden
+from hidden_ar.likelihood import _golden, _grid, _objective
 
 from conftest import REF, problem_for
 
@@ -50,6 +53,43 @@ class TestLogLikelihood:
         at_truth = log_likelihood(x, REF)
         for off in (0.8, 0.9, 1.1, 1.25):
             assert log_likelihood(x, REF.replace(b=off)) < at_truth
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99])
+    @pytest.mark.parametrize("horizon", [1, 2, 50, 20000])
+    def test_lag_sums_match_recursion(self, a, horizon):
+        # The lag count is 1 at a=0, 56 at |a|=0.5, 378 at 0.9 and 4183 at
+        # 0.99, so for a != 0 T=2 and 50 keep every lag and T=2e4 cuts.
+        params = REF.replace(a=a)
+        x = simulate(params, horizon, seed=402).x
+        got = log_likelihood(x, params)
+        assert got == pytest.approx(reference_loglik(x, params), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-0.99, 0.99),
+        b=st.floats(0.05, 5.0),
+        f=st.floats(0.05, 5.0),
+        f_sign=st.sampled_from([-1.0, 1.0]),
+        sigma2=st.floats(0.05, 5.0),
+        horizon=st.integers(1, 600),
+        seed=st.integers(0, 2**30),
+    )
+    def test_random_points_agree_with_reference(self, a, b, f, f_sign, sigma2, horizon, seed):
+        params = ModelParams(a=a, b=b, f=f_sign * f, sigma2=sigma2)
+        x = simulate(REF, horizon, seed=seed).x
+        got = log_likelihood(x, params)
+        assert math.isfinite(got)
+        assert got == pytest.approx(reference_loglik(x, params), rel=1e-12)
+
+    @pytest.mark.parametrize("unknown", [("b",), ("f", "a")])
+    def test_grid_evaluator_equals_per_node(self, unknown):
+        problem = problem_for(REF, unknown)
+        x = simulate(REF, 500, seed=403).x
+        _, mesh = _grid(problem, 64 if len(unknown) == 1 else 12)
+        nodes = np.stack([m.ravel() for m in mesh], axis=1)
+        got = _objective(x, problem)(*nodes.T)
+        want = [log_likelihood(x, problem.point(node)) for node in nodes]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_short_series(self):
         with pytest.raises(SeriesTooShort):
@@ -155,7 +195,7 @@ class TestBayes:
             bayes(x, problem_b, spec)
 
     def test_degenerate_posterior(self, problem_b):
-        x = simulate(REF, 100, seed=72).x.copy()
-        x[10] = float("nan")
-        with pytest.raises(DegeneratePosterior):
+        # Finite observations whose squares overflow to inf.
+        x = simulate(REF, 100, seed=72).x * 1e155
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePosterior):
             bayes(x, problem_b)
