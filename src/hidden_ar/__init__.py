@@ -12,6 +12,7 @@ from .errors import (
     ForbiddenPair,
     HiddenArError,
     HorizonTooShort,
+    InvalidSeed,
     MismatchedLengths,
     NonFiniteObservations,
     SeriesTooShort,
@@ -62,6 +63,7 @@ __all__ = [
     "ForbiddenPair",
     "HiddenArError",
     "HorizonTooShort",
+    "InvalidSeed",
     "McReport",
     "MismatchedLengths",
     "MmeEstimate",

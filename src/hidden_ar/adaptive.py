@@ -79,7 +79,7 @@ def _fit_track(x: np.ndarray, problem: ParamProblem, delta: float) -> EstimatorT
         return one_step_scalar(x, problem, delta)
     if problem.unknown == ("f", "a"):
         return one_step_pair(x, problem, delta)
-    raise UnsupportedSet(f"adaptive filtering supports {{b}}, {{f}}, {{a}}, {{f,a}}, got {problem.unknown}")
+    raise UnsupportedSet(f"the one-step process supports {{b}}, {{f}}, {{a}}, {{f,a}}, got {problem.unknown}")
 
 
 def adaptive_filter(
@@ -89,7 +89,6 @@ def adaptive_filter(
     track: EstimatorTrace | None = None,
     truth: ModelParams | None = None,
     frozen_at: ModelParams | None = None,
-    m_star_init: float = 0.0,
 ) -> AdaptiveTrace:
     """Run the adaptive filter on X_0..X_T.
 
@@ -131,7 +130,7 @@ def adaptive_filter(
     e_list = sq.gain.tolist()
     x_list = x[tau + 1 :].tolist()
     m_star = np.empty(horizon - tau)
-    prev = float(m_star_init)
+    prev = 0.0  # m*_tau
     for i in range(len(x_list)):
         prev = a_list[i] * prev + e_list[i] * x_list[i]
         m_star[i] = prev

@@ -7,8 +7,9 @@ the inline parameter flags, which then also serve as the known coordinate
 values of the estimation problem.
 
 Exit codes: 0 success, 2 validation error (bad arguments, inadmissible
-parameters, unsupported sets), 1 runtime failure, including a Monte Carlo
-run in which every replication failed.
+parameters, unsupported sets, including one a Monte Carlo estimator
+cannot run on, a negative seed), 1 runtime failure, including a Monte
+Carlo run in which every replication failed.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import sys
 
 import numpy as np
 
-from .adaptive import adaptive_filter, adaptive_to_csv, error_report, s_star_limit
+from .adaptive import _fit_track, adaptive_filter, adaptive_to_csv, error_report, s_star_limit
 from .errors import HiddenArError, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo
 from .kalman import filter_derivative, filter_stationary, filter_to_csv
 from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
 from .model_core import ModelParams, ParamProblem, validate
 from .moments import mme
-from .onestep import estimator_to_csv, one_step_pair, one_step_scalar
+from .onestep import estimator_to_csv
 from .simulator import simulate, trajectory_to_csv
 
 _DEFAULT_BOUNDS = {
@@ -147,10 +148,7 @@ def _cmd_onestep(args) -> int:
     params = _params_from(args)
     problem = _problem_from(args, params)
     x = _load_or_simulate(args, params)
-    if problem.dim == 1:
-        trace = one_step_scalar(x, problem, args.delta)
-    else:
-        trace = one_step_pair(x, problem, args.delta)
+    trace = _fit_track(x, problem, args.delta)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "estimator.csv")
     estimator_to_csv(trace, path)
@@ -233,7 +231,7 @@ def _cmd_montecarlo(args) -> int:
             outputs=args.out,
             estimators=tuple(args.estimators.split(",")),
         )
-    report = run_monte_carlo(config, threads=args.threads)
+    report = run_monte_carlo(config)
     out_dir = config.outputs or args.out or "."
     paths = export(report, out_dir)
     for cell in report.cells:
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--checkpoints", default="0.5,1.0")
     p.add_argument("--estimators", default="onestep,adaptive")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_montecarlo)
 

@@ -49,6 +49,10 @@ class NonFiniteObservations(HiddenArError, ValueError):
     """The observation series contains a NaN or an infinite value."""
 
 
+class InvalidSeed(HiddenArError, ValueError):
+    """A seed or stream id lies outside [0, 2**64), the Philox key range."""
+
+
 class ZeroHorizon(HiddenArError, ValueError):
     """A simulation horizon below 1 was requested."""
 

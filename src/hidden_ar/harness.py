@@ -8,34 +8,71 @@ adaptive filter, which is additionally scored against the hidden state
 itself (rows with coord "y", risk level gamma* + S*^2/t). Replications draw
 from counter-based streams keyed (seed, stream) with
 stream = horizon_index * R + rep, so any replication can be reproduced in
-isolation and the full report is bit-identical for every thread count.
+isolation, and the report is bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .adaptive import adaptive_filter, s_star_limit
-from .errors import UnsupportedCoordinate, UnsupportedSet
+from .adaptive import _fit_track, adaptive_filter, s_star_limit
+from .errors import UnsupportedSet
 from .likelihood import PosteriorSpec, bayes, mle
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
-from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_scalar
+from .onestep import learning_interval
 from .simulator import simulate
 
-_ESTIMATORS = ("mme", "onestep", "mle", "bayes", "adaptive")
-# Smallest checkpoint time t each estimator can run on: mme needs the four
-# observations x_0..x_3, mle and bayes need x_0 and x_1.
-_SHORTEST_PREFIX = {"mme": 3, "mle": 1, "bayes": 1}
+
+class _Needs(NamedTuple):
+    """What an estimator needs from the config."""
+
+    first_t: Callable[[int, float], int]  # smallest checkpoint time t, given (T, delta)
+    unknown_sets: tuple[tuple[str, ...], ...] | None  # None: every set ParamProblem accepts
+
+
+# The one-step process needs the Fisher information, which exists for these
+# sets; the likelihood grid covers one or two unknowns.
+_ONE_STEP_SETS = (("f",), ("b",), ("a",), ("f", "a"))
+_GRID_SETS = _ONE_STEP_SETS + (("sigma2",),)
+
+# mme reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and
+# the adaptive track starts at tau + 1; learning_interval raises
+# HorizonTooShort for a horizon too short for any learning interval.
+_ESTIMATORS = {
+    "mme": _Needs(lambda T, delta: 3, None),
+    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), _ONE_STEP_SETS),
+    "mle": _Needs(lambda T, delta: 1, _GRID_SETS),
+    "bayes": _Needs(lambda T, delta: 1, _GRID_SETS),
+    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, _ONE_STEP_SETS),
+}
+
+# Estimates computed afresh on each prefix x[: t + 1]. The lambdas look the
+# functions up when called, so rebinding the module attribute reaches them.
+_ON_PREFIX = {
+    "mme": lambda prefix, problem: mme(prefix, problem).values,
+    "mle": lambda prefix, problem: mle(prefix, problem),
+    "bayes": lambda prefix, problem: bayes(prefix, problem, PosteriorSpec()),
+}
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; booleans and non-integral numbers are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +91,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problem", validate(self.params, self.problem))
-        object.__setattr__(self, "horizons", tuple(int(t) for t in self.horizons))
+        object.__setattr__(self, "horizons", tuple(_whole("horizons", t) for t in self.horizons))
+        object.__setattr__(self, "replications", _whole("replications", self.replications))
+        object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "checkpoints", tuple(float(v) for v in self.checkpoints))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.horizons:
             raise ValueError("need at least one horizon")
@@ -63,29 +103,29 @@ class ExperimentConfig:
             raise ValueError(f"horizons must be positive, got {self.horizons}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.checkpoints or not all(0.0 < v <= 1.0 for v in self.checkpoints):
             raise ValueError(f"checkpoints must lie in (0, 1], got {self.checkpoints}")
+        if not self.estimators:
+            raise ValueError("need at least one estimator")
+        needs = []
         for name in self.estimators:
             if name not in _ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}; choose from {_ESTIMATORS}")
-        if "onestep" in self.estimators or "adaptive" in self.estimators:
-            # theta_at needs t >= tau; the adaptive track starts at tau + 1.
-            first = 1 if "adaptive" in self.estimators else 0
-            for horizon in self.horizons:
-                tau = learning_interval(horizon, self.delta)
-                for v, t in _checkpoint_times(horizon, self.checkpoints):
-                    if t < tau + first:
-                        raise ValueError(
-                            f"checkpoint v={v} gives t={t} at T={horizon}, "
-                            f"before the learning interval ends (need t >= {tau + first})"
-                        )
-        shortest = max(_SHORTEST_PREFIX.get(name, 0) for name in self.estimators)
+                raise ValueError(f"unknown estimator {name!r}; choose from {tuple(_ESTIMATORS)}")
+            need = _ESTIMATORS[name]
+            if need.unknown_sets is not None and self.problem.unknown not in need.unknown_sets:
+                raise UnsupportedSet(
+                    f"{name} supports the unknown sets {need.unknown_sets}, got {self.problem.unknown}"
+                )
+            needs.append(need)
         for horizon in self.horizons:
+            first = max(need.first_t(horizon, self.delta) for need in needs)
             for v, t in _checkpoint_times(horizon, self.checkpoints):
-                if t < shortest:
+                if t < first:
                     raise ValueError(
                         f"checkpoint v={v} gives t={t} at T={horizon}; the selected "
-                        f"estimators need t >= {shortest}"
+                        f"estimators need t >= {first}"
                     )
 
     def to_dict(self) -> dict[str, Any]:
@@ -106,25 +146,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ExperimentConfig":
-        params = ModelParams(**{k: float(v) for k, v in obj["params"].items()})
-        prob = obj["problem"]
-        problem = ParamProblem(
-            unknown=tuple(prob["unknown"]),
-            bounds={k: tuple(v) for k, v in prob["bounds"].items()},
-        )
-        kwargs: dict[str, Any] = {}
-        for name in ("replications", "seed"):
-            if name in obj:
-                kwargs[name] = int(obj[name])
-        for name in ("delta",):
-            if name in obj:
-                kwargs[name] = float(obj[name])
-        for name in ("checkpoints", "estimators"):
-            if name in obj:
-                kwargs[name] = tuple(obj[name])
-        if "outputs" in obj:
-            kwargs["outputs"] = obj["outputs"]
-        return cls(params=params, problem=problem, horizons=tuple(obj["horizons"]), **kwargs)
+        unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields {sorted(unknown)}")
+        params = ModelParams(**obj["params"])
+        problem = ParamProblem(**obj["problem"])
+        return cls(**dict(obj, params=params, problem=problem))
 
 
 @dataclass(frozen=True)
@@ -162,12 +189,6 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
     return [(v, math.floor(v * horizon)) for v in checkpoints]
 
 
-def _fit_track(x, problem: ParamProblem, delta: float) -> EstimatorTrace:
-    if problem.dim == 1:
-        return one_step_scalar(x, problem, delta)
-    return one_step_pair(x, problem, delta)
-
-
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
     """One replication's rows; a pure function of (config, indices), so any
     row can be regenerated in isolation from its stream id."""
@@ -199,34 +220,22 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         track = _fit_track(x, problem, config.delta)
 
     for name in config.estimators:
-        if name == "mme":
-            for v, t in times:
-                est = mme(x[: t + 1], problem)
-                for j, coord in enumerate(problem.unknown):
-                    emit("mme", coord, v, t, est.values[j])
-        elif name == "onestep":
-            for v, t in times:
-                values = track.theta_at(t)
-                for j, coord in enumerate(problem.unknown):
-                    emit("onestep", coord, v, t, values[j])
-        elif name == "mle":
-            for v, t in times:
-                values = mle(x[: t + 1], problem)
-                for j, coord in enumerate(problem.unknown):
-                    emit("mle", coord, v, t, values[j])
-        elif name == "bayes":
-            for v, t in times:
-                values = bayes(x[: t + 1], problem, PosteriorSpec())
-                for j, coord in enumerate(problem.unknown):
-                    emit("bayes", coord, v, t, values[j])
-        elif name == "adaptive":
+        if name == "adaptive":
             atrace = adaptive_filter(
                 x, problem, config.delta, track=track, truth=config.params
             )
             for v, t in times:
-                diff = atrace.m_star_at(t) - float(atrace.oracle_m[t])
-                emit("adaptive", "m", v, t, diff)
-                emit("adaptive", "y", v, t, atrace.m_star_at(t) - float(traj.y[t]))
+                m_star = atrace.m_star_at(t)
+                emit("adaptive", "m", v, t, m_star - float(atrace.oracle_m[t]))
+                emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
+            continue
+        for v, t in times:
+            if name == "onestep":
+                values = track.theta_at(t)
+            else:
+                values = _ON_PREFIX[name](x[: t + 1], problem)
+            for coord, value in zip(problem.unknown, values):
+                emit(name, coord, v, t, value)
     return rows
 
 
@@ -234,28 +243,22 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     """Theoretical normalized-risk targets per (estimator, coord) at truth."""
     problem = config.problem
     out: dict[tuple[str, str], float | None] = {}
-    info = None
     try:
         info = fisher_info(config.params, problem)
-    except (UnsupportedSet, UnsupportedCoordinate):
+    except UnsupportedSet:
         info = None
     for name in config.estimators:
-        if name == "mme":
-            for coord in problem.unknown:
-                out[(name, coord)] = None
-        elif name in ("onestep", "mle", "bayes"):
-            for coord in problem.unknown:
-                out[(name, coord)] = None if info is None else info.inverse_diagonal(coord)
-        elif name == "adaptive":
+        if name == "adaptive":
             try:
                 out[(name, "m")] = s_star_limit(config.params, problem.unknown)
             except UnsupportedSet:
                 out[(name, "m")] = None
+            continue
+        # mme is consistent but not efficient: it has no target.
+        efficient = info is not None and name != "mme"
+        for coord in problem.unknown:
+            out[(name, coord)] = info.inverse_diagonal(coord) if efficient else None
     return out
-
-
-def _truth_value(config: ExperimentConfig, coord: str) -> float:
-    return getattr(config.params, coord)
 
 
 def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -293,8 +296,7 @@ def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dic
             centered = values
             ratio = None if target is None else norm_risk / target
         else:
-            truth = _truth_value(config, coord)
-            centered = values - truth
+            centered = values - getattr(config.params, coord)
             norm_risk = t * float((centered * centered).mean())
             ratio = None if target is None or target == 0.0 else t * var / target
         ks_stat = ks_pvalue = None
@@ -325,44 +327,34 @@ def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dic
 
 
 def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
-    """Execute the experiment; the report is a deterministic function of the
-    config, identical for any thread count."""
-    jobs = [
-        (hi, rep)
-        for hi in range(len(config.horizons))
-        for rep in range(config.replications)
-    ]
-    results: list[list[dict[str, Any]] | None] = [None] * len(jobs)
+    """Execute the experiment, one replication after another; the report is
+    a deterministic function of the config.
 
-    def work(idx: int) -> list[dict[str, Any]]:
-        hi, rep = jobs[idx]
-        try:
-            return run_replication(config, hi, rep)
-        except Exception as exc:  # recorded, not fatal: partial failure contract
-            return [
-                {
-                    "estimator": "error",
-                    "coord": "",
-                    "T": config.horizons[hi],
-                    "v": None,
-                    "t": None,
-                    "rep": rep,
-                    "stream": hi * config.replications + rep,
-                    "value": None,
-                    "message": f"{type(exc).__name__}: {exc}",
-                }
-            ]
-
-    if threads <= 1:
-        for idx in range(len(jobs)):
-            results[idx] = work(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(work, idx) for idx in range(len(jobs))]
-            for idx, future in enumerate(futures):
-                results[idx] = future.result()
-
-    rows = [row for chunk in results for row in chunk]
+    ``threads`` must be 1. The estimators run Python loops that hold the
+    interpreter lock, so a thread pool measured slower than this loop and
+    was removed; the keyword stays for callers that still pass it.
+    """
+    if threads != 1:
+        raise ValueError(f"run_monte_carlo runs serially; threads must be 1, got {threads}")
+    rows: list[dict[str, Any]] = []
+    for hi, horizon in enumerate(config.horizons):
+        for rep in range(config.replications):
+            try:
+                rows.extend(run_replication(config, hi, rep))
+            except Exception as exc:  # recorded, not fatal: partial failure contract
+                rows.append(
+                    {
+                        "estimator": "error",
+                        "coord": "",
+                        "T": horizon,
+                        "v": None,
+                        "t": None,
+                        "rep": rep,
+                        "stream": hi * config.replications + rep,
+                        "value": None,
+                        "message": f"{type(exc).__name__}: {exc}",
+                    }
+                )
     cells = _aggregate(config, rows)
     return McReport(config=config.to_dict(), cells=cells, replications=_sanitize(rows))
 
@@ -375,38 +367,35 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def export(report: McReport, out_dir: str, formats=("csv", "json")) -> dict[str, str]:
+def export(report: McReport, out_dir: str) -> dict[str, str]:
     """Write report.csv (aggregate cells, fixed schema) and report.json
     (full document); returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths: dict[str, str] = {}
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    paths = {
+        "csv": os.path.join(out_dir, "report.csv"),
+        "json": os.path.join(out_dir, "report.json"),
+    }
+    with open(paths["csv"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["estimator", "T", "v", "mean", "var", "norm_risk", "target", "ratio", "ks"]
+        )
+        for cell in report.cells:
+            label = f"{cell['estimator']}:{cell['coord']}" if cell["coord"] else cell["estimator"]
             writer.writerow(
-                ["estimator", "T", "v", "mean", "var", "norm_risk", "target", "ratio", "ks"]
+                [
+                    label,
+                    cell["T"],
+                    _csv_value(cell["v"]),
+                    _csv_value(cell["mean"]),
+                    _csv_value(cell["var"] if math.isfinite(cell["var"]) else None),
+                    _csv_value(cell["norm_risk"]),
+                    _csv_value(cell["target"]),
+                    _csv_value(cell["ratio"]),
+                    _csv_value(cell["ks_pvalue"]),
+                ]
             )
-            for cell in report.cells:
-                label = f"{cell['estimator']}:{cell['coord']}" if cell["coord"] else cell["estimator"]
-                writer.writerow(
-                    [
-                        label,
-                        cell["T"],
-                        _csv_value(cell["v"]),
-                        _csv_value(cell["mean"]),
-                        _csv_value(cell["var"] if math.isfinite(cell["var"]) else None),
-                        _csv_value(cell["norm_risk"]),
-                        _csv_value(cell["target"]),
-                        _csv_value(cell["ratio"]),
-                        _csv_value(cell["ks_pvalue"]),
-                    ]
-                )
-        paths["csv"] = path
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        paths["json"] = path
+    with open(paths["json"], "w") as fh:
+        fh.write(report.to_json())
+        fh.write("\n")
     return paths

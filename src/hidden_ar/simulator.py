@@ -7,9 +7,9 @@ initialization: a pre-sample Y_{-1} ~ N(0, b^2/(1-a^2)) seeds both
 recursions, so X_0 = f * Y_{-1} + sigma * w_0 already has the stationary
 observation law and the difference statistics are stationary from t = 1.
 
-Randomness is counter based: each (seed, stream) pair keys an independent
-Philox stream, so parallel replications reproduce bit-exactly regardless of
-scheduling or thread count.
+Randomness is counter based: each (seed, stream) pair of integers in
+[0, 2**64) keys an independent Philox stream, so any replication reproduces
+bit-exactly on its own, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ZeroHorizon
+from .errors import InvalidSeed, ZeroHorizon
 from .model_core import ModelParams
 
 
@@ -42,6 +42,9 @@ class Trajectory:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2**64:
+            raise InvalidSeed(f"{name} must lie in [0, 2**64), got {value}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -58,7 +61,7 @@ def simulate(
     The draw order is fixed: one block of 2T+3 standard normals, consumed as
     (stationary scale for Y_{-1}, w_0..w_T, v_0..v_T). keep_hidden only
     controls whether y is retained, never what is drawn, so x is identical
-    either way.
+    either way. A seed or stream outside [0, 2**64) raises InvalidSeed.
     """
     horizon = int(horizon)
     if horizon < 1:

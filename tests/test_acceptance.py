@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hidden_ar.adaptive import adaptive_filter, s_star_limit
-from hidden_ar.harness import ExperimentConfig, run_monte_carlo
+from hidden_ar.harness import ExperimentConfig, run_monte_carlo, run_replication
 from hidden_ar.kalman import filter_derivative, filter_stationary
 from hidden_ar.model_core import (
     ModelParams,
@@ -111,7 +111,7 @@ def reference_run():
         estimators=("onestep", "adaptive"),
     )
     start = time.perf_counter()
-    report = run_monte_carlo(config, threads=1)
+    report = run_monte_carlo(config)
     return config, report, time.perf_counter() - start
 
 
@@ -292,7 +292,7 @@ def test_criterion_08_mle_bayes_efficiency():
             seed=7,
             estimators=("onestep", "mle", "bayes"),
         )
-        report = run_monte_carlo(config, threads=1)
+        report = run_monte_carlo(config)
         ratios = {
             c["estimator"]: c["ratio"]
             for c in report.cells
@@ -377,11 +377,15 @@ def test_criterion_11_determinism(reference_run):
     config, report, _ = reference_run
     with criterion(11) as box:
         baseline = report.to_json()
-        repeat = run_monte_carlo(config, threads=1).to_json()
-        threaded = run_monte_carlo(config, threads=8).to_json()
+        repeat = run_monte_carlo(config).to_json()
         assert repeat == baseline
-        assert threaded == baseline
+        # Any replication reproduces in isolation from its stream id.
+        reps = (0, 1, 999, 1999)
+        for rep in reps:
+            alone = run_replication(config, 0, rep)
+            in_report = [row for row in report.replications if row["stream"] == rep]
+            assert alone and alone == in_report
         box["detail"] = (
-            f"reference config rerun and 8-thread run both byte-identical "
-            f"({len(baseline)} bytes of JSON)"
+            f"reference config rerun byte-identical ({len(baseline)} bytes of JSON); "
+            f"replications {reps} alone equal their report rows"
         )

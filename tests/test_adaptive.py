@@ -42,14 +42,6 @@ class TestOracleReduction:
         assert trace.theta_plug.shape == (500 - trace.tau, 1)
         assert np.all(trace.theta_plug == 1.0)
 
-    def test_m_star_init_shifts_first_step(self, problem_b):
-        x = simulate(REF, 500, seed=82).x
-        base = adaptive_filter(x, problem_b, frozen_at=REF)
-        shifted = adaptive_filter(x, problem_b, frozen_at=REF, m_star_init=0.5)
-        assert base.m_star[0] != shifted.m_star[0]
-        # The initial condition washes out geometrically.
-        assert abs(base.m_star[-1] - shifted.m_star[-1]) < 1e-10
-
 
 class TestAdaptiveRun:
     def test_track_reuse_and_plug_layout(self, problem_b):

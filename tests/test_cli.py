@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-import hidden_ar.harness as harness_mod
+import hidden_ar.adaptive as adaptive_mod
 from hidden_ar.cli import main
 
 from conftest import REF_VALUES
@@ -55,6 +55,12 @@ class TestSimulate:
         )
         assert code == 2
         assert "error" in err
+
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["simulate", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed must lie in" in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestFilter:
@@ -226,8 +232,6 @@ class TestMonteCarlo:
                 "300",
                 "--replications",
                 "4",
-                "--threads",
-                "2",
                 "--out",
                 str(tmp_path),
             ],
@@ -299,11 +303,27 @@ class TestMonteCarlo:
         assert "T >= 16" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--unknown", "sigma2", "--bounds", "sigma2=0.1:5"], "onestep supports the unknown sets"),
+            (["--seed", "-1"], "seed must lie in"),
+        ],
+    )
+    def test_config_rejected_before_running_exit_2(self, capsys, tmp_path, flags, message):
+        code, _, err = run_cli(
+            capsys,
+            ["montecarlo", "--T", "400", "--replications", "2", "--out", str(tmp_path)] + flags,
+        )
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_every_replication_failed_exit_1(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(harness_mod, "one_step_scalar", broken)
+        monkeypatch.setattr(adaptive_mod, "one_step_scalar", broken)
         code, _, err = run_cli(
             capsys,
             ["montecarlo", "--T", "300", "--replications", "2", "--out", str(tmp_path)],

@@ -10,6 +10,7 @@ from hidden_ar import (
     ExperimentConfig,
     HorizonTooShort,
     ParamProblem,
+    UnsupportedSet,
     export,
     fisher_info,
     run_monte_carlo,
@@ -17,7 +18,7 @@ from hidden_ar import (
     s_star_limit,
     stationary,
 )
-import hidden_ar.harness as harness_mod
+import hidden_ar.adaptive as adaptive_mod
 
 from conftest import REF
 
@@ -45,6 +46,14 @@ class TestConfig:
         assert clone.params == config.params
         assert clone.problem.unknown == config.problem.unknown
         assert clone.problem.is_complete()
+
+    def test_from_dict_checks_fields(self):
+        doc = small_config().to_dict()
+        for key, value in (("replications", 2.5), ("horizons", [400.7]), ("seed", True)):
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_dict(dict(doc, **{key: value}))
+        with pytest.raises(ValueError, match="unknown config fields"):
+            ExperimentConfig.from_dict(dict(doc, replicas=3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,6 +93,42 @@ class TestConfig:
             with pytest.raises(ValueError):
                 small_config(horizons=(10,), checkpoints=(0.05, 1.0), estimators=(name,))
             small_config(horizons=(10,), checkpoints=(0.1, 1.0), estimators=(name,))
+        # Unknown sets an estimator cannot run on; mme takes all seven.
+        sigma2 = ParamProblem(unknown=("sigma2",), bounds={"sigma2": (0.1, 5.0)})
+        triple = ParamProblem(
+            unknown=("a", "f", "sigma2"),
+            bounds={"a": (-0.9, 0.9), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)},
+        )
+        for name in ("onestep", "adaptive"):
+            for problem in (sigma2, triple):
+                with pytest.raises(UnsupportedSet):
+                    small_config(problem=problem, estimators=(name,))
+        for name in ("mle", "bayes"):
+            small_config(problem=sigma2, estimators=(name,))
+            with pytest.raises(UnsupportedSet):
+                small_config(problem=triple, estimators=(name,))
+        bounds = {"a": (-0.9, 0.9), "b": (0.1, 5.0), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)}
+        for unknown in (
+            ("f",), ("b",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2")
+        ):
+            problem = ParamProblem(unknown=unknown, bounds={k: bounds[k] for k in unknown})
+            small_config(problem=problem, estimators=("mme",))
+        # Whole numbers only for horizons, replications and seed; seed >= 0.
+        for bad in (
+            {"replications": 2.5},
+            {"replications": True},
+            {"horizons": (400.7,)},
+            {"horizons": (True,)},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"estimators": ()},
+        ):
+            with pytest.raises(ValueError):
+                small_config(**bad)
+        coerced = small_config(horizons=(400.0,), replications=np.int64(3), seed=2.0)
+        assert coerced.horizons == (400,) and type(coerced.horizons[0]) is int
+        assert type(coerced.replications) is int and type(coerced.seed) is int
 
     def test_problem_completed_at_construction(self):
         config = small_config()
@@ -127,15 +172,15 @@ class TestReplication:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_report(self):
-        config = small_config()
-        solo = run_monte_carlo(config, threads=1)
-        pooled = run_monte_carlo(config, threads=4)
-        assert solo.to_json() == pooled.to_json()
-
     def test_repeated_runs_identical(self):
         config = small_config()
         assert run_monte_carlo(config).to_json() == run_monte_carlo(config).to_json()
+
+    def test_threads_other_than_one_rejected(self):
+        config = small_config(replications=1)
+        for threads in (0, 2):
+            with pytest.raises(ValueError, match="threads must be 1"):
+                run_monte_carlo(config, threads=threads)
 
 
 class TestAggregation:
@@ -239,7 +284,7 @@ class TestAggregation:
 class TestFailureCapture:
     def test_error_rows_recorded(self, monkeypatch):
         config = small_config(replications=6)
-        real = harness_mod.one_step_scalar
+        real = adaptive_mod.one_step_scalar
         target = run_replication(config, 0, 4)[0]["stream"]
 
         def broken(x, problem, delta=0.6, method="batch", prelim=None):
@@ -250,8 +295,8 @@ class TestFailureCapture:
             return real(x, problem, delta, method, prelim)
 
         broken.calls = 0
-        monkeypatch.setattr(harness_mod, "one_step_scalar", broken)
-        report = run_monte_carlo(config, threads=1)
+        monkeypatch.setattr(adaptive_mod, "one_step_scalar", broken)
+        report = run_monte_carlo(config)
         errors = [r for r in report.replications if r["estimator"] == "error"]
         assert len(errors) == 1
         assert errors[0]["rep"] == 4
@@ -288,9 +333,3 @@ class TestExport:
         with open(paths["json"]) as fh:
             doc = json.load(fh)
         assert doc == json.loads(report.to_json())
-
-    def test_csv_only(self, tmp_path):
-        config = small_config(replications=2)
-        report = run_monte_carlo(config)
-        paths = export(report, str(tmp_path), formats=("csv",))
-        assert "json" not in paths

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from hidden_ar import ZeroHorizon, simulate
+from hidden_ar import InvalidSeed, ZeroHorizon, simulate
 from hidden_ar.simulator import trajectory_to_csv
 
 from conftest import REF
@@ -25,6 +25,12 @@ class TestSimulate:
             simulate(REF, 0, seed=1)
         with pytest.raises(ZeroHorizon):
             simulate(REF, -3, seed=1)
+
+    def test_seed_and_stream_outside_key_range_rejected(self):
+        for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+            with pytest.raises(InvalidSeed):
+                simulate(REF, 10, seed=seed, stream=stream)
+        simulate(REF, 10, seed=2**64 - 1, stream=2**64 - 1)
 
     def test_deterministic_by_seed_and_stream(self):
         one = simulate(REF, 100, seed=7, stream=3)
