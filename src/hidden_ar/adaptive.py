@@ -31,6 +31,7 @@ from .errors import MismatchedLengths, UnsupportedSet, as_series
 from .kalman import FilterTrace, filter_stationary
 from .model_core import (
     COORDINATES,
+    INFORMATION_SETS,
     ModelParams,
     ParamProblem,
     scalar_fisher,
@@ -75,11 +76,10 @@ class AdaptiveTrace:
 
 
 def _fit_track(x: np.ndarray, problem: ParamProblem, delta: float) -> EstimatorTrace:
-    if problem.dim == 1:
-        return one_step_scalar(x, problem, delta)
-    if problem.unknown == ("f", "a"):
-        return one_step_pair(x, problem, delta)
-    raise UnsupportedSet(f"the one-step process supports {{b}}, {{f}}, {{a}}, {{f,a}}, got {problem.unknown}")
+    if problem.unknown not in INFORMATION_SETS:
+        raise UnsupportedSet(f"the one-step process supports {INFORMATION_SETS}, got {problem.unknown}")
+    fit = one_step_scalar if problem.dim == 1 else one_step_pair
+    return fit(x, problem, delta)
 
 
 def adaptive_filter(

@@ -6,10 +6,13 @@ subclass ArithmeticError. The command line layer maps the former to exit
 code 2 and the latter (together with unexpected failures) to exit code 1.
 
 :func:`as_series` is the one check every entry point applies to an
-observation series.
+observation series, and :func:`as_whole` the one check on a count such as
+a horizon.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -94,3 +97,13 @@ def as_series(x, min_length: int) -> np.ndarray:
         first = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteObservations(f"observation x[{first}] = {x[first]} is not finite")
     return x
+
+
+def as_whole(name: str, value) -> int:
+    """value as an int; booleans and non-integral numbers raise ValueError,
+    so a horizon of 10.7 or True is never truncated to 10 or 1."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")

@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
@@ -26,9 +25,9 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .adaptive import _fit_track, adaptive_filter, s_star_limit
-from .errors import UnsupportedSet
+from .errors import FisherSingular, UnsupportedSet, as_whole
 from .likelihood import PosteriorSpec, bayes, mle
-from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
+from .model_core import INFORMATION_SETS, ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval
 from .simulator import simulate
@@ -41,20 +40,19 @@ class _Needs(NamedTuple):
     unknown_sets: tuple[tuple[str, ...], ...] | None  # None: every set ParamProblem accepts
 
 
-# The one-step process needs the Fisher information, which exists for these
-# sets; the likelihood grid covers one or two unknowns.
-_ONE_STEP_SETS = (("f",), ("b",), ("a",), ("f", "a"))
-_GRID_SETS = _ONE_STEP_SETS + (("sigma2",),)
+# The one-step process needs the Fisher information, which exists for
+# INFORMATION_SETS; the likelihood grid covers one or two unknowns.
+_GRID_SETS = INFORMATION_SETS + (("sigma2",),)
 
 # mme reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and
 # the adaptive track starts at tau + 1; learning_interval raises
 # HorizonTooShort for a horizon too short for any learning interval.
 _ESTIMATORS = {
     "mme": _Needs(lambda T, delta: 3, None),
-    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), _ONE_STEP_SETS),
+    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), INFORMATION_SETS),
     "mle": _Needs(lambda T, delta: 1, _GRID_SETS),
     "bayes": _Needs(lambda T, delta: 1, _GRID_SETS),
-    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, _ONE_STEP_SETS),
+    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, INFORMATION_SETS),
 }
 
 # Estimates computed afresh on each prefix x[: t + 1]. The lambdas look the
@@ -64,15 +62,6 @@ _ON_PREFIX = {
     "mle": lambda prefix, problem: mle(prefix, problem),
     "bayes": lambda prefix, problem: bayes(prefix, problem, PosteriorSpec()),
 }
-
-
-def _whole(name: str, value) -> int:
-    """value as an int; booleans and non-integral numbers are rejected."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +80,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problem", validate(self.params, self.problem))
-        object.__setattr__(self, "horizons", tuple(_whole("horizons", t) for t in self.horizons))
-        object.__setattr__(self, "replications", _whole("replications", self.replications))
+        object.__setattr__(self, "horizons", tuple(as_whole("horizons", t) for t in self.horizons))
+        object.__setattr__(self, "replications", as_whole("replications", self.replications))
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "checkpoints", tuple(float(v) for v in self.checkpoints))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "seed", as_whole("seed", self.seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.horizons:
             raise ValueError("need at least one horizon")
@@ -245,13 +234,13 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     out: dict[tuple[str, str], float | None] = {}
     try:
         info = fisher_info(config.params, problem)
-    except UnsupportedSet:
+    except (UnsupportedSet, FisherSingular):
         info = None
     for name in config.estimators:
         if name == "adaptive":
             try:
                 out[(name, "m")] = s_star_limit(config.params, problem.unknown)
-            except UnsupportedSet:
+            except (UnsupportedSet, FisherSingular):
                 out[(name, "m")] = None
             continue
         # mme is consistent but not efficient: it has no target.

@@ -18,8 +18,13 @@ A = a * sigma2 / P and e = a * f * gamma_star / P, and the innovation
 coefficient B = a * Gamma / sqrt(P) with Gamma = f^2 * gamma_star.
 
 Parameter derivatives come from implicit differentiation of the quadratic,
-never from finite differences; Fisher informations come from the stationary
-second moments of the differentiated filter recursions.
+never from finite differences. The Fisher information for any unknown set
+drawn from {b, f, a} is one formula,
+
+    I_ij = (C_ij + Pdot_i * Pdot_j / (2P)) / P,   C = E[Mdot Mdot^T],
+
+with Mdot_i the derivative of the prediction f*m_t in coordinate i and C
+its stationary second moments (derivation in _information).
 """
 
 from __future__ import annotations
@@ -373,164 +378,112 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
 # Fisher information
 # ---------------------------------------------------------------------------
 
+# The unknown sets that have a Fisher information (and so a one-step
+# process), each in canonical coordinate order.
+INFORMATION_SETS = (("f",), ("b",), ("a",), ("f", "a"))
+
 
 @dataclass(frozen=True, eq=False)
 class FisherInfo:
-    """Fisher information for a supported unknown set.
-
-    Scalar problems fill ``value``; the pair (f, a) fills ``matrix`` with the
-    coordinate order given by ``unknown``. ``q`` and ``k`` retain the internal
-    stationary moments used for the a-row (diagnostics).
-    """
+    """Fisher information matrix of shape (dim, dim) for a supported unknown
+    set, rows and columns in the coordinate order of ``unknown``."""
 
     unknown: tuple[str, ...]
-    dim: int
-    value: float | None = None
-    matrix: np.ndarray | None = None
-    q: float | None = None
-    k: float | None = None
+    matrix: np.ndarray
 
-    def inverse(self):
-        """1/value (scalar) or the 2x2 matrix inverse."""
-        if self.dim == 1:
-            return 1.0 / self.value
+    def inverse(self) -> np.ndarray:
+        """The inverse matrix I^{-1}, shape (dim, dim)."""
         return np.linalg.inv(self.matrix)
 
     def inverse_diagonal(self, coord: str) -> float:
         """The asymptotic variance bound for one coordinate."""
-        if self.dim == 1:
-            if coord != self.unknown[0]:
-                raise UnsupportedCoordinate(f"{coord!r} is not the scalar unknown {self.unknown}")
-            return 1.0 / self.value
+        if coord not in self.unknown:
+            raise UnsupportedCoordinate(f"{coord!r} is not in the unknown set {self.unknown}")
         j = self.unknown.index(coord)
-        return float(np.linalg.inv(self.matrix)[j, j])
+        return float(self.inverse()[j, j])
 
 
-def _mdot_noise_coef(params: ModelParams, sq: StationaryQuantities, wrt: str) -> float:
-    """Innovation coefficient of the differentiated prediction recursion.
+def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
+    """Fisher information matrix per observation for coords drawn from
+    {b, f, a}.
 
-    M_t = f*m_t satisfies M_t = a*M_{t-1} + B*z_t at the true point, with
-    z the standardized innovations. Differentiating the observed-form filter
-    and substituting the true-point innovation representation leaves
+    M_t = f*m_t satisfies M_t = a*M_{t-1} + B*z_t at the true point, with z
+    the standardized innovations. Differentiating the observed-form filter in
+    coordinate i and substituting the true-point innovation representation
+    leaves
 
-        Mdot_t = A*Mdot_{t-1} + [wrt == a]*M_{t-1} + Bdot * z_t,
+        Mdot_{i,t} = A*Mdot_{i,t-1} + [i = a]*M_{t-1} + Bdot_i*z_t,
+        Bdot_i = beta_i + [i = a]*Gamma/sqrt(P),  beta_i = a*sigma2*Pdot_i/P^(3/2).
 
-    with Bdot = a*sigma2*Pdot/P^(3/2) for wrt in {b, f} and
-    Bdot = (Gamma*P + a*sigma2*Pdot)/P^(3/2) for wrt = a.
-    """
-    grad = stationary_gradient(params, wrt)
-    p32 = sq.p * math.sqrt(sq.p)
-    if wrt in ("b", "f"):
-        return params.a * params.sigma2 * grad.d_p / p32
-    if wrt == "a":
-        return (sq.big_gamma * sq.p + params.a * params.sigma2 * grad.d_p) / p32
-    raise UnsupportedCoordinate(f"no information recursion for coordinate {wrt!r}")
+    Every entry is
 
+        I_ij = (C_ij + Pdot_i*Pdot_j/(2P)) / P,   C = E[Mdot Mdot^T],
 
-def _fisher_scalar_bf(params: ModelParams, wrt: str) -> float:
-    """Closed form for wrt in {b, f}:
-    I = Pdot^2 * (P^2 + a^2*sigma2^2) / (2*P^2*(P^2 - a^2*sigma2^2))."""
-    sq = stationary(params)
-    grad = stationary_gradient(params, wrt)
-    p2 = sq.p * sq.p
-    as4 = (params.a * params.sigma2) ** 2
-    return grad.d_p * grad.d_p * (p2 + as4) / (2.0 * p2 * (p2 - as4))
+    where the stationary second-moment recursions of (M, Mdot) give
 
+        E[M^2] = B^2/(1 - a^2),
+        w_i = E[Mdot_i M] = ([i = a]*a*E[M^2] + Bdot_i*B) / (1 - a*A),
+        C_ij*(1 - A^2) = Bdot_i*Bdot_j + A*([j = a]*w_i + [i = a]*w_j)
+                         + [i = a][j = a]*E[M^2].
 
-def _fisher_a_parts(params: ModelParams) -> tuple[float, float, float]:
-    """I_a with its internals: returns (i_a, q, bdot_a).
+    The share beta_i*beta_j/(1 - A^2) of C joins the Pdot term in the closed
+    form Pdot_i*Pdot_j*(P^2 + a^2 sigma2^2) / (2 P^2 (P^2 - a^2 sigma2^2));
+    each remaining term carries [i = a] or [j = a], so for b and f it is
+    exactly 0.0 and the closed form stands alone.
 
-    q = E[Mdot_a^2] in the stationary regime, from the joint second-moment
-    recursions of (M, Mdot_a); then I_a = (q + Pdot_a^2/(2P)) / P.
+    Raises FisherSingular unless trace(I) > 0 and
+    det(I) >= 1e-12 * trace(I)^(2 (dim - 1)): I >= 1e-12 for one coordinate,
+    det/trace^2 >= 1e-12 (positive definite, condition number below about
+    1e12) for the pair.
     """
     sq = stationary(params)
-    grad = stationary_gradient(params, "a")
-    a = params.a
-    A = sq.a_coef
-    B = sq.b_coef
-    p = sq.p
-    bdot = _mdot_noise_coef(params, sq, "a")
-    mu = B * B / (1.0 - a * a)                       # E[M^2]
-    cross = (a * mu + bdot * B) / (1.0 - a * A)      # E[Mdot_a * M]
-    q = (mu + bdot * bdot + 2.0 * A * cross) / (1.0 - A * A)
-    i_a = (q + grad.d_p * grad.d_p / (2.0 * p)) / p
-    return i_a, q, bdot
+    a, s2 = params.a, params.sigma2
+    A, B, p = sq.a_coef, sq.b_coef, sq.p
+    p2 = p * p
+    as4 = (a * s2) ** 2
+    p32 = p * math.sqrt(p)
+    g = sq.big_gamma / math.sqrt(p)  # the [i = a] part of Bdot_i
+    mu = B * B / (1.0 - a * a)  # E[M^2]
+    d_p, is_a, own = [], [], []
+    for coord in coords:
+        dp = stationary_gradient(params, coord).d_p
+        ind = 1.0 if coord == "a" else 0.0
+        beta = a * s2 * dp / p32
+        w = (ind * a * mu + (beta + ind * g) * B) / (1.0 - a * A)  # E[Mdot_i M]
+        d_p.append(dp)
+        is_a.append(ind)
+        own.append(A * w + beta * g)  # what [j = a] multiplies in row i of C*(1 - A^2)
+    rest_scale = p * (1.0 - A * A)
+    n = range(len(coords))
+    matrix = np.array([
+        [
+            d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4))
+            + (is_a[j] * own[i] + is_a[i] * own[j] + is_a[i] * is_a[j] * (mu + g * g)) / rest_scale
+            for j in n
+        ]
+        for i in n
+    ])
+    trace = float(np.trace(matrix))
+    det = float(np.linalg.det(matrix))
+    if not (trace > 0.0 and det >= 1e-12 * trace ** (2 * len(coords) - 2)):
+        raise FisherSingular(f"information for {coords} is singular or near-singular: {matrix.tolist()}")
+    return matrix
 
 
 def scalar_fisher(params: ModelParams, coord: str) -> float:
-    """Fisher information for one unknown coordinate in {b, f, a}."""
-    if coord in ("b", "f"):
-        value = _fisher_scalar_bf(params, coord)
-    elif coord == "a":
-        value, _, _ = _fisher_a_parts(params)
-    else:
+    """Fisher information for one unknown coordinate in {b, f, a}, the entry
+    of its 1x1 information matrix."""
+    if (coord,) not in INFORMATION_SETS:
         raise UnsupportedCoordinate(f"no Fisher information for coordinate {coord!r}")
-    if not value > 0.0:
-        raise FisherSingular(f"information for {coord} is not positive: {value}")
-    return value
+    return float(_information(params, (coord,))[0, 0])
 
 
 def fisher_info(params: ModelParams, problem: ParamProblem) -> FisherInfo:
-    """Fisher information at ``params`` for the problem's unknown set.
-
-    Supported sets: {b}, {f}, {a} (scalars) and {f, a} (2x2 matrix). Every
-    entry follows the same pattern I = (C + Pdot_i*Pdot_j/(2P)) / P where C is
-    the stationary cross-moment of the differentiated prediction recursions.
-    """
-    key = problem.unknown
-    if key in (("b",), ("f",)):
-        value = _fisher_scalar_bf(params, key[0])
-        if not value > 0.0:
-            raise FisherSingular(f"information for {key[0]} is not positive: {value}")
-        return FisherInfo(unknown=key, dim=1, value=value)
-    if key == ("a",):
-        i_a, q, _ = _fisher_a_parts(params)
-        if not i_a > 0.0:
-            raise FisherSingular(f"information for a is not positive: {i_a}")
-        return FisherInfo(unknown=key, dim=1, value=i_a, q=q)
-    if key == ("f", "a"):
-        sq = stationary(params)
-        grad_f = stationary_gradient(params, "f")
-        grad_a = stationary_gradient(params, "a")
-        a = params.a
-        A = sq.a_coef
-        B = sq.b_coef
-        p = sq.p
-        i_f = _fisher_scalar_bf(params, "f")
-        i_a, q, bdot_a = _fisher_a_parts(params)
-        bdot_f = _mdot_noise_coef(params, sq, "f")
-        w = B * bdot_f / (1.0 - a * A)                   # E[M * Mdot_f]
-        k = (A * w + bdot_f * bdot_a) / (1.0 - A * A)    # E[Mdot_f * Mdot_a]
-        i_fa = (k + grad_f.d_p * grad_a.d_p / (2.0 * p)) / p
-        matrix = np.array([[i_f, i_fa], [i_fa, i_a]], dtype=float)
-        det = i_f * i_a - i_fa * i_fa
-        if not (i_f > 0.0 and det > 0.0):
-            raise FisherSingular(f"information matrix is not positive definite: {matrix.tolist()}")
-        return FisherInfo(unknown=key, dim=2, matrix=matrix, q=q, k=k)
-    raise UnsupportedSet(
-        f"Fisher information is not available for the unknown set {key}; "
-        "supported sets are {b}, {f}, {a} and {f, a}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def problem_to_dict(params: ModelParams, problem: ParamProblem) -> dict:
-    """Flat JSON object with keys a, b, f, sigma2, unknown, bounds."""
-    out: dict = params.as_dict()
-    out["unknown"] = list(problem.unknown)
-    out["bounds"] = {name: list(problem.bounds[name]) for name in problem.unknown}
-    return out
-
-
-def problem_from_dict(obj: dict) -> tuple[ModelParams, ParamProblem]:
-    """Inverse of :func:`problem_to_dict`; returns a validated pair."""
-    params = ModelParams(
-        a=float(obj["a"]), b=float(obj["b"]), f=float(obj["f"]), sigma2=float(obj["sigma2"])
-    )
-    bounds = {name: tuple(vals) for name, vals in dict(obj["bounds"]).items()}
-    problem = ParamProblem(unknown=tuple(obj["unknown"]), bounds=bounds)
-    return params, validate(params, problem)
+    """Fisher information at ``params`` for the problem's unknown set, one of
+    INFORMATION_SETS (formula and singularity rule: see _information)."""
+    if problem.unknown not in INFORMATION_SETS:
+        raise UnsupportedSet(
+            f"Fisher information is not available for the unknown set {problem.unknown}; "
+            f"supported sets are {INFORMATION_SETS}"
+        )
+    return FisherInfo(unknown=problem.unknown, matrix=_information(params, problem.unknown))

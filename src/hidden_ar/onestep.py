@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FisherSingular, HorizonTooShort, as_series
+from .errors import HorizonTooShort, as_series, as_whole
 from .kalman import filter_derivative
-from .model_core import FisherInfo, ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
+from .model_core import ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
 from .moments import MmeEstimate, mme
 
 
@@ -87,10 +87,10 @@ class EstimatorTrace:
 
 def learning_interval(horizon: int, delta: float) -> int:
     """tau = floor(T^delta), guarded against floating-point dips just below
-    an exact integer power; requires tau <= T - 2."""
+    an exact integer power; requires a whole T with tau <= T - 2."""
     if not 0.5 < delta < 1.0:
         raise ValueError(f"need delta in (0.5, 1), got {delta}")
-    horizon = int(horizon)
+    horizon = as_whole("horizon", horizon)
     if horizon < 16:
         raise HorizonTooShort(f"need T >= 16, got {horizon}")
     power = float(horizon) ** delta
@@ -129,20 +129,6 @@ def _score_increments(
     return out
 
 
-def _check_information(fisher: FisherInfo) -> np.ndarray:
-    """Return I^{-1} as a (dim, dim) array, rejecting near-singular values."""
-    if fisher.dim == 1:
-        if fisher.value < 1e-12:
-            raise FisherSingular(f"information {fisher.value} below 1e-12")
-        return np.array([[1.0 / fisher.value]])
-    matrix = fisher.matrix
-    trace = float(np.trace(matrix))
-    det = float(np.linalg.det(matrix))
-    if det < 1e-12 * trace * trace:
-        raise FisherSingular(f"information matrix near-singular: det={det}, trace={trace}")
-    return np.linalg.inv(matrix)
-
-
 def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> EstimatorTrace:
     if method not in ("batch", "recurrent"):
         raise ValueError(f"method must be 'batch' or 'recurrent', got {method!r}")
@@ -156,7 +142,7 @@ def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> Es
         prelim_est = None
         prelim_values, _ = problem.clip(np.atleast_1d(np.asarray(prelim, dtype=float)))
     params_tau = problem.point(prelim_values)
-    inv = _check_information(fisher_info(params_tau, problem))
+    inv = fisher_info(params_tau, problem).inverse()
 
     g = _score_increments(params_tau, x, tau, problem.unknown)
     steps = np.arange(1, len(g) + 1, dtype=float)  # t - tau for t = tau+1..T

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import InvalidSeed, ZeroHorizon
+from .errors import InvalidSeed, ZeroHorizon, as_whole
 from .model_core import ModelParams
 
 
@@ -61,9 +61,10 @@ def simulate(
     The draw order is fixed: one block of 2T+3 standard normals, consumed as
     (stationary scale for Y_{-1}, w_0..w_T, v_0..v_T). keep_hidden only
     controls whether y is retained, never what is drawn, so x is identical
-    either way. A seed or stream outside [0, 2**64) raises InvalidSeed.
+    either way. A seed or stream outside [0, 2**64) raises InvalidSeed; a
+    boolean or non-integral horizon raises ValueError.
     """
-    horizon = int(horizon)
+    horizon = as_whole("horizon", horizon)
     if horizon < 1:
         raise ZeroHorizon(f"need horizon >= 1, got {horizon}")
     a, b, f, sigma = params.a, params.b, params.f, math.sqrt(params.sigma2)

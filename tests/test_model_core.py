@@ -23,7 +23,6 @@ from hidden_ar import (
     stationary_gradient,
     validate,
 )
-from hidden_ar.model_core import problem_from_dict, problem_to_dict
 
 from conftest import REF, REF_VALUES, problem_for, random_params
 
@@ -183,14 +182,6 @@ class TestParamProblem:
         with pytest.raises(ValueError):
             prob.require_complete()
 
-    def test_serialization_roundtrip(self, problem_fa):
-        obj = problem_to_dict(REF, problem_fa)
-        params, problem = problem_from_dict(obj)
-        assert params == REF
-        assert problem.unknown == problem_fa.unknown
-        assert problem.bounds == problem_fa.bounds
-        assert problem.is_complete
-
 
 class TestStationary:
     def test_reference_values(self):
@@ -304,17 +295,20 @@ class TestStationaryGradient:
 class TestFisherInfo:
     def test_reference_values(self, problem_b, problem_f, problem_a, problem_fa):
         info_b = fisher_info(REF, problem_b)
-        assert_close_rel(info_b.value, REF_VALUES["info_b"], 1e-13)
-        assert_close_rel(info_b.inverse(), REF_VALUES["inv_info_b"], 1e-13)
+        assert_close_rel(info_b.matrix[0, 0], REF_VALUES["info_b"], 1e-13)
+        assert_close_rel(info_b.inverse()[0, 0], REF_VALUES["inv_info_b"], 1e-13)
         assert_close_rel(
             info_b.inverse_diagonal("b"), REF_VALUES["inv_info_b"], 1e-13
         )
         info_f = fisher_info(REF, problem_f)
-        assert_close_rel(info_f.value, REF_VALUES["info_b"], 1e-13)  # b=f=1 symmetry
+        assert_close_rel(info_f.matrix[0, 0], REF_VALUES["info_b"], 1e-13)  # b=f=1 symmetry
         info_a = fisher_info(REF, problem_a)
-        assert_close_rel(info_a.value, REF_VALUES["info_a"], 1e-13)
+        assert_close_rel(info_a.matrix[0, 0], REF_VALUES["info_a"], 1e-13)
+        for info in (info_b, info_f, info_a):
+            assert info.matrix.shape == (1, 1)
         pair = fisher_info(REF, problem_fa)
-        assert pair.dim == 2
+        assert len(pair.unknown) == 2
+        assert pair.matrix.shape == (2, 2)
         assert_close_rel(pair.matrix[0, 0], REF_VALUES["info_b"], 1e-13)
         assert_close_rel(pair.matrix[1, 1], REF_VALUES["info_a"], 1e-13)
         assert_close_rel(pair.matrix[0, 1], REF_VALUES["info_fa_offdiag"], 1e-13)
@@ -325,10 +319,12 @@ class TestFisherInfo:
         for _ in range(50):
             params = random_params(rng)
             pair = fisher_info(params, problem_for(params, ("f", "a")))
-            i_f = fisher_info(params, problem_for(params, "f")).value
-            i_a = fisher_info(params, problem_for(params, "a")).value
-            assert_close_rel(pair.matrix[0, 0], i_f, 1e-12)
-            assert_close_rel(pair.matrix[1, 1], i_a, 1e-12)
+            i_f = fisher_info(params, problem_for(params, "f")).matrix[0, 0]
+            i_a = fisher_info(params, problem_for(params, "a")).matrix[0, 0]
+            # One function computes every entry, so the pair's diagonal is
+            # the scalar information bit for bit.
+            assert pair.matrix[0, 0] == i_f
+            assert pair.matrix[1, 1] == i_a
             assert scalar_fisher(params, "f") == i_f
             assert scalar_fisher(params, "a") == i_a
             # Positive definiteness.
@@ -349,10 +345,42 @@ class TestFisherInfo:
         with pytest.raises(UnsupportedCoordinate):
             scalar_fisher(REF, "sigma2")
 
-    def test_inverse_diagonal_wrong_coord(self, problem_b):
+    def test_inverse_diagonal_wrong_coord(self, problem_b, problem_fa):
         info = fisher_info(REF, problem_b)
         with pytest.raises(UnsupportedCoordinate):
             info.inverse_diagonal("f")
+        pair = fisher_info(REF, problem_fa)
+        for coord in ("b", "sigma2"):
+            with pytest.raises(UnsupportedCoordinate):
+                pair.inverse_diagonal(coord)
+
+    def test_matches_whittle_spectral_formula(self):
+        # Independent oracle: for a stationary Gaussian series with spectral
+        # density S, Whittle's formula gives the information per observation
+        #     I_ij = (1/4pi) int_{-pi}^{pi} d_iS d_jS / S^2 dw,
+        # here with S(w) = f^2 b^2 / |1 - a e^{-iw}|^2 + sigma2. The integrand
+        # is smooth and 2pi-periodic, so the trapezoid rule on equally spaced
+        # nodes (equal weights) converges geometrically.
+        w = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        cos = np.cos(w)
+        rng = np.random.default_rng(108)
+        for _ in range(300):
+            params = random_params(rng)
+            a, b, f = params.a, params.b, params.f
+            d = 1.0 - 2.0 * a * cos + a * a
+            spec = f * f * b * b / d + params.sigma2
+            d_spec = {
+                "b": 2.0 * f * f * b / d,
+                "f": 2.0 * f * b * b / d,
+                "a": f * f * b * b * (2.0 * cos - 2.0 * a) / (d * d),
+            }
+            for unknown in (("b",), ("f",), ("a",), ("f", "a")):
+                got = fisher_info(params, problem_for(params, unknown)).matrix
+                want = np.array(
+                    [[np.mean(d_spec[i] * d_spec[j] / (spec * spec)) / 2.0 for j in unknown] for i in unknown]
+                )
+                scale = np.sqrt(np.outer(np.diag(got), np.diag(got)))
+                assert (np.abs(got - want) <= 1e-10 * scale).all(), (params, unknown, got, want)
 
     def test_positive_on_admissible_points(self):
         # The scalar informations stay strictly positive over the admissible

@@ -38,6 +38,12 @@ class TestLearningInterval:
             with pytest.raises(ValueError):
                 learning_interval(1000, bad)
 
+    def test_whole_horizon_required(self):
+        assert learning_interval(1024.0, 0.6) == 64
+        for bad in (1024.5, True):
+            with pytest.raises(ValueError):
+                learning_interval(bad, 0.6)
+
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
             learning_interval(15, 0.6)
@@ -162,7 +168,7 @@ class TestZeroCorrection:
         )
         params = problem.point(np.array([0.5]))
         info = fisher_info(params, problem)
-        assert info.value == pytest.approx(0.5, abs=1e-15)
+        assert info.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestOneStepPair:
@@ -184,6 +190,18 @@ class TestOneStepPair:
         x = simulate(REF, 1000, seed=51).x
         with pytest.raises(ValueError):
             one_step_pair(x, problem_b)
+
+    def test_singular_information_rejected(self):
+        # With b and f near zero the observations are almost white noise, so
+        # the information about (f, a) is near-singular at the preliminary.
+        problem = ParamProblem(
+            unknown=("f", "a"),
+            bounds={"f": (1e-4, 5.0), "a": (-0.9, 0.9)},
+            known={"b": 1e-6, "sigma2": 1.0},
+        )
+        x = simulate(REF, 1000, seed=52).x
+        with pytest.raises(FisherSingular):
+            one_step_pair(x, problem, prelim=[1e-3, -0.5])
 
 
 class TestEfficiencySmoke:

@@ -26,6 +26,13 @@ class TestSimulate:
         with pytest.raises(ZeroHorizon):
             simulate(REF, -3, seed=1)
 
+    def test_whole_horizon_required(self):
+        # A fractional or boolean horizon is an error, never truncated.
+        for bad in (10.7, True):
+            with pytest.raises(ValueError):
+                simulate(REF, bad, seed=1)
+        assert simulate(REF, 12.0, seed=1).horizon == 12
+
     def test_seed_and_stream_outside_key_range_rejected(self):
         for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
             with pytest.raises(InvalidSeed):
