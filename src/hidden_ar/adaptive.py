@@ -21,7 +21,6 @@ which for psi = b is a f sigma2 gammadot* / P^(3/2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ from .model_core import (
     stationary,
     stationary_from,
     stationary_gradient,
+    validate,
 )
 from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_scalar
 
@@ -93,16 +93,20 @@ def adaptive_filter(
     """Run the adaptive filter on X_0..X_T.
 
     ``track`` reuses an already-fitted estimator process (it must come from
-    the same observations). ``frozen_at`` bypasses estimation entirely and
-    plugs a fixed parameter point into every step, which reduces the
-    recursion to the stationary filter; ``truth`` additionally records the
-    oracle track m_t(truth) for error reporting.
+    the same observations and ``problem``, else ValueError). ``frozen_at``
+    bypasses estimation entirely and plugs a fixed parameter point into
+    every step, which reduces the recursion to the stationary filter; its
+    known coordinates must equal the problem's (else ValueError). ``truth``
+    additionally records the oracle track m_t(truth) for error reporting.
     """
     problem.require_complete()
     x = as_series(x, 2)
     horizon = len(x) - 1
+    if track is not None and track.problem != problem:
+        raise ValueError(f"estimator track was fitted for {track.problem}, not {problem}")
 
     if frozen_at is not None:
+        validate(frozen_at, problem)
         tau = track.tau if track is not None else learning_interval(horizon, delta)
         theta_plug = np.tile(problem.values_of(frozen_at), (horizon - tau, 1))
         track = None
@@ -126,21 +130,18 @@ def adaptive_filter(
     }
     sq = stationary_from(**coords)
 
-    a_list = sq.a_coef.tolist()
-    e_list = sq.gain.tolist()
-    x_list = x[tau + 1 :].tolist()
-    m_star = np.empty(horizon - tau)
+    m_star = []
     prev = 0.0  # m*_tau
-    for i in range(len(x_list)):
-        prev = a_list[i] * prev + e_list[i] * x_list[i]
-        m_star[i] = prev
+    for a_coef, drive in zip(sq.a_coef.tolist(), (sq.gain * x[tau + 1 :]).tolist()):
+        prev = a_coef * prev + drive
+        m_star.append(prev)
 
     oracle_m = None
     if truth is not None:
         oracle_m = filter_stationary(truth, x, m0=0.0).m
     return AdaptiveTrace(
         tau=tau,
-        m_star=m_star,
+        m_star=np.array(m_star),
         theta_track=track,
         oracle_m=oracle_m,
         theta_plug=theta_plug,
@@ -205,24 +206,3 @@ def error_report(
             row["estimator_error"] = None
         rows.append(row)
     return rows
-
-
-def adaptive_to_csv(trace: AdaptiveTrace, x, path: str) -> None:
-    """Write t, x, m_star, theta_star..., oracle_m, sq_error with a header."""
-    x = np.asarray(x, dtype=float)
-    dim = trace.theta_plug.shape[1]
-    theta_names = [f"theta_star_{j + 1}" for j in range(dim)]
-    header = ["t", "x", "m_star"] + theta_names + ["oracle_m", "sq_error"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(trace.m_star)):
-            t = trace.tau + 1 + i
-            row = [t, repr(float(x[t])), repr(float(trace.m_star[i]))]
-            row += [repr(float(trace.theta_plug[i, j])) for j in range(dim)]
-            if trace.oracle_m is None:
-                row += ["", ""]
-            else:
-                diff = float(trace.m_star[i]) - float(trace.oracle_m[t])
-                row += [repr(float(trace.oracle_m[t])), repr(diff * diff)]
-            writer.writerow(row)

@@ -22,15 +22,14 @@ import sys
 
 import numpy as np
 
-from .adaptive import _fit_track, adaptive_filter, adaptive_to_csv, error_report, s_star_limit
+from .adaptive import _fit_track, adaptive_filter, error_report, s_star_limit
 from .errors import HiddenArError, as_series
-from .harness import ExperimentConfig, export, run_monte_carlo
-from .kalman import filter_derivative, filter_stationary, filter_to_csv
+from .harness import ExperimentConfig, export, run_monte_carlo, write_columns
+from .kalman import filter_derivative, filter_stationary
 from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
 from .model_core import ModelParams, ParamProblem, validate
 from .moments import mme
-from .onestep import estimator_to_csv
-from .simulator import simulate, trajectory_to_csv
+from .simulator import simulate
 
 _DEFAULT_BOUNDS = {
     "a": (-0.9, 0.9),
@@ -97,12 +96,23 @@ def _print(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _write(out_dir: str, name: str, columns: dict[str, list]) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    write_columns(path, columns)
+    return path
+
+
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     traj = simulate(params, args.T, args.seed, keep_hidden=not args.no_hidden)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "trajectory.csv")
-    trajectory_to_csv(traj, path)
+    n = len(traj.x)
+    columns = {
+        "t": list(range(n)),
+        "x": traj.x.tolist(),
+        "y": [None] * n if traj.y is None else traj.y.tolist(),
+    }
+    path = _write(args.out, "trajectory.csv", columns)
     _print({"written": path, "T": traj.horizon, "seed": traj.seed})
     return 0
 
@@ -114,10 +124,17 @@ def _cmd_filter(args) -> int:
         trace = filter_derivative(params, x, args.wrt)
     else:
         trace = filter_stationary(params, x)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "filter.csv")
-    filter_to_csv(trace, x, path)
     zeta = trace.innovations
+    n = len(trace.m)
+    columns = {
+        "t": list(range(n)),
+        "x": x.tolist(),
+        "m": trace.m.tolist(),
+        "gamma": [float(trace.gamma)] * n,
+        "innovation": [None] + zeta.tolist(),
+        **{f"dm_{name}": trace.dm[name].tolist() for name in sorted(trace.dm or {})},
+    }
+    path = _write(args.out, "filter.csv", columns)
     _print(
         {
             "written": path,
@@ -149,9 +166,12 @@ def _cmd_onestep(args) -> int:
     problem = _problem_from(args, params)
     x = _load_or_simulate(args, params)
     trace = _fit_track(x, problem, args.delta)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "estimator.csv")
-    estimator_to_csv(trace, path)
+    columns = {
+        "t": trace.t_grid.tolist(),
+        **{f"theta_{j + 1}": col for j, col in enumerate(trace.path.T.tolist())},
+        "clipped": trace.clipped.astype(int).tolist(),
+    }
+    path = _write(args.out, "estimator.csv", columns)
     _print(
         {
             "written": path,
@@ -193,9 +213,20 @@ def _cmd_adaptive(args) -> int:
     x = _load_or_simulate(args, params)
     truth = None if args.data else params
     trace = adaptive_filter(x, problem, args.delta, truth=truth)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "adaptive.csv")
-    adaptive_to_csv(trace, x, path)
+    start = trace.tau + 1
+    columns = {
+        "t": list(range(start, len(x))),
+        "x": x[start:].tolist(),
+        "m_star": trace.m_star.tolist(),
+        **{f"theta_star_{j + 1}": col for j, col in enumerate(trace.theta_plug.T.tolist())},
+        "oracle_m": [None] * len(trace.m_star),
+        "sq_error": [None] * len(trace.m_star),
+    }
+    if trace.oracle_m is not None:
+        diff = trace.m_star - trace.oracle_m[start:]
+        columns["oracle_m"] = trace.oracle_m[start:].tolist()
+        columns["sq_error"] = (diff * diff).tolist()
+    path = _write(args.out, "adaptive.csv", columns)
     summary = {"written": path, "tau": trace.tau, "s_star_limit": None}
     if problem.dim == 1:
         summary["s_star_limit"] = s_star_limit(params, problem.unknown)

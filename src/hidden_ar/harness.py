@@ -348,12 +348,21 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
     return McReport(config=config.to_dict(), cells=cells, replications=_sanitize(rows))
 
 
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_columns(path: str, columns: dict[str, list]) -> None:
+    """Write a CSV whose header is the keys of ``columns`` and whose rows
+    zip its equal-length value lists; a length mismatch raises ValueError.
+
+    Cells: None is written empty, a float by ``repr`` (so it reads back
+    bit-exact) and anything else by ``str``. Columns must hold Python
+    values: under numpy 2 the repr of a numpy scalar is not a number.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in zip(*columns.values(), strict=True):
+            writer.writerow(
+                ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row]
+            )
 
 
 def export(report: McReport, out_dir: str) -> dict[str, str]:
@@ -364,26 +373,23 @@ def export(report: McReport, out_dir: str) -> dict[str, str]:
         "csv": os.path.join(out_dir, "report.csv"),
         "json": os.path.join(out_dir, "report.json"),
     }
-    with open(paths["csv"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["estimator", "T", "v", "mean", "var", "norm_risk", "target", "ratio", "ks"]
-        )
-        for cell in report.cells:
-            label = f"{cell['estimator']}:{cell['coord']}" if cell["coord"] else cell["estimator"]
-            writer.writerow(
-                [
-                    label,
-                    cell["T"],
-                    _csv_value(cell["v"]),
-                    _csv_value(cell["mean"]),
-                    _csv_value(cell["var"] if math.isfinite(cell["var"]) else None),
-                    _csv_value(cell["norm_risk"]),
-                    _csv_value(cell["target"]),
-                    _csv_value(cell["ratio"]),
-                    _csv_value(cell["ks_pvalue"]),
-                ]
-            )
+    cells = report.cells
+    write_columns(
+        paths["csv"],
+        {
+            "estimator": [
+                f"{c['estimator']}:{c['coord']}" if c["coord"] else c["estimator"] for c in cells
+            ],
+            "T": [c["T"] for c in cells],
+            "v": [c["v"] for c in cells],
+            "mean": [c["mean"] for c in cells],
+            "var": [c["var"] if math.isfinite(c["var"]) else None for c in cells],
+            "norm_risk": [c["norm_risk"] for c in cells],
+            "target": [c["target"] for c in cells],
+            "ratio": [c["ratio"] for c in cells],
+            "ks": [c["ks_pvalue"] for c in cells],
+        },
+    )
     with open(paths["json"], "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")

@@ -21,7 +21,6 @@ and m[t] is computed from x[t], so innovations exist for t >= 1 only.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from scipy.signal import lfilter
 from .errors import UnsupportedCoordinate, as_series
 from .model_core import (
     ModelParams,
+    StationaryGradient,
     StationaryQuantities,
     riccati_map,
     stationary,
@@ -63,6 +63,7 @@ def filter_transient(
 ) -> FilterTrace:
     """Exact Kalman filter with running error variance from gamma0 >= 0."""
     x = as_series(x, 2)
+    _require_finite(m0=m0, gamma0=gamma0)
     if gamma0 < 0.0:
         raise ValueError(f"need gamma0 >= 0, got {gamma0}")
     a, f, s2 = params.a, params.f, params.sigma2
@@ -80,14 +81,30 @@ def filter_transient(
     return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None, params=params)
 
 
+def _require_finite(**starts: float) -> None:
+    for name, value in starts.items():
+        if not math.isfinite(value):
+            raise ValueError(f"need a finite {name}, got {value}")
+
+
 def _stationary_means(x: np.ndarray, m0: float, sq: StationaryQuantities) -> np.ndarray:
     body, _ = lfilter([sq.gain], [1.0, -sq.a_coef], x[1:], zi=np.array([sq.a_coef * m0]))
     return np.concatenate(([m0], body))
 
 
+def _derivative_track(
+    x: np.ndarray, m: np.ndarray, dm0: float, sq: StationaryQuantities, grad: StationaryGradient
+) -> np.ndarray:
+    """dm_t = A*dm_{t-1} + dA*m_{t-1} + de*x_t from dm0, given the m track."""
+    u = grad.d_a_coef * m[:-1] + grad.d_gain * x[1:]
+    body, _ = lfilter([1.0], [1.0, -sq.a_coef], u, zi=np.array([sq.a_coef * dm0]))
+    return np.concatenate(([dm0], body))
+
+
 def filter_stationary(params: ModelParams, x, m0: float = 0.0) -> FilterTrace:
     """Stationary filter m_t = A*m_{t-1} + (a*f*gamma_star/P)*x_t."""
     x = as_series(x, 2)
+    _require_finite(m0=m0)
     sq = stationary(params)
     m = _stationary_means(x, m0, sq)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
@@ -109,33 +126,11 @@ def filter_derivative(
     if wrt not in ("f", "b", "a"):
         raise UnsupportedCoordinate(f"no derivative filter for coordinate {wrt!r}")
     x = as_series(x, 2)
+    _require_finite(m0=m0, dm0=dm0)
     sq = stationary(params)
-    grad = stationary_gradient(params, wrt)
     m = _stationary_means(x, m0, sq)
-    u = grad.d_a_coef * m[:-1] + grad.d_gain * x[1:]
-    body, _ = lfilter([1.0], [1.0, -sq.a_coef], u, zi=np.array([sq.a_coef * dm0]))
-    dm = np.concatenate(([dm0], body))
+    dm = _derivative_track(x, m, dm0, sq, stationary_gradient(params, wrt))
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
     return FilterTrace(
         m=m, gamma=sq.gamma_star, innovations=zeta, dm={wrt: dm}, params=params
     )
-
-
-def filter_to_csv(trace: FilterTrace, x, path: str) -> None:
-    """Write columns t, x, m, gamma, innovation, dm_<coord>... with a header."""
-    x = np.asarray(x, dtype=float)
-    n = len(trace.m)
-    gamma = trace.gamma
-    if np.isscalar(gamma):
-        gamma = np.full(n, float(gamma))
-    dm_names = sorted(trace.dm) if trace.dm else []
-    header = ["t", "x", "m", "gamma", "innovation"] + [f"dm_{name}" for name in dm_names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(n):
-            row = [t, repr(float(x[t])), repr(float(trace.m[t])), repr(float(gamma[t]))]
-            row.append("" if t == 0 else repr(float(trace.innovations[t - 1])))
-            for name in dm_names:
-                row.append(repr(float(trace.dm[name][t])))
-            writer.writerow(row)

@@ -32,14 +32,13 @@ are provided; they agree to machine rounding and serve as mutual oracles.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HorizonTooShort, as_series, as_whole
-from .kalman import filter_derivative
+from .kalman import _derivative_track, _stationary_means
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
 from .moments import MmeEstimate, mme
 
@@ -113,19 +112,16 @@ def _score_increments(
     tail = x[tau:]
     sq = stationary(params)
     p = sq.p
+    m = _stationary_means(tail, 0.0, sq)
+    m_prev = m[:-1]
+    resid = tail[1:] - params.f * m_prev
     out = np.empty((len(tail) - 1, len(coords)))
-    resid = None
     for j, coord in enumerate(coords):
-        trace = filter_derivative(params, tail, coord, m0=0.0, dm0=0.0)
-        m_prev = trace.m[:-1]
-        dm_prev = trace.dm[coord][:-1]
-        if resid is None:
-            resid = tail[1:] - params.f * m_prev
-        mdot = params.f * dm_prev
+        grad = stationary_gradient(params, coord)
+        mdot = params.f * _derivative_track(tail, m, 0.0, sq, grad)[:-1]
         if coord == "f":
             mdot = mdot + m_prev
-        dp = stationary_gradient(params, coord).d_p
-        out[:, j] = resid * mdot / p + (resid * resid - p) * (dp / (2.0 * p * p))
+        out[:, j] = resid * mdot / p + (resid * resid - p) * (grad.d_p / (2.0 * p * p))
     return out
 
 
@@ -140,7 +136,10 @@ def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> Es
         prelim_values = prelim_est.values
     else:
         prelim_est = None
-        prelim_values, _ = problem.clip(np.atleast_1d(np.asarray(prelim, dtype=float)))
+        prelim = np.atleast_1d(np.asarray(prelim, dtype=float))
+        if not np.isfinite(prelim).all():
+            raise ValueError(f"need a finite preliminary, got {prelim.tolist()}")
+        prelim_values, _ = problem.clip(prelim)
     params_tau = problem.point(prelim_values)
     inv = fisher_info(params_tau, problem).inverse()
 
@@ -175,8 +174,8 @@ def one_step_scalar(
     """One-step MLE process for a scalar unknown in {b}, {f}, {a}.
 
     prelim, when given, replaces the moment preliminary with an explicit
-    value (clipped into bounds); useful for crafted scenarios and for
-    studying the correction in isolation.
+    value (clipped into bounds; NaN or inf raises ValueError); useful for
+    crafted scenarios and for studying the correction in isolation.
     """
     if problem.dim != 1:
         raise ValueError(f"one_step_scalar needs a scalar unknown, got {problem.unknown}")
@@ -189,20 +188,8 @@ def one_step_pair(
     """One-step MLE process for the pair (f, a) with the 2x2 information.
 
     prelim, when given, replaces the moment preliminary with an explicit
-    pair of values (clipped into bounds).
+    pair of values (clipped into bounds; NaN or inf raises ValueError).
     """
     if problem.unknown != ("f", "a"):
         raise ValueError(f"one_step_pair needs unknown=(f, a), got {problem.unknown}")
     return _one_step(x, problem, delta, method, prelim)
-
-
-def estimator_to_csv(trace: EstimatorTrace, path: str) -> None:
-    """Write the path as t, theta_1 [, theta_2], clipped with a header."""
-    names = [f"theta_{j + 1}" for j in range(trace.path.shape[1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + names + ["clipped"])
-        for i, t in enumerate(trace.t_grid):
-            row = [int(t)] + [repr(float(v)) for v in trace.path[i]]
-            row.append(int(trace.clipped[i]))
-            writer.writerow(row)

@@ -14,7 +14,6 @@ bit-exactly on its own, whatever ran before it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -89,13 +88,3 @@ def simulate(
         stream=int(stream),
         params=params,
     )
-
-
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """Write columns t, x, y (y blank when not kept) with a header row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y"])
-        for t, xt in enumerate(traj.x):
-            yt = "" if traj.y is None else repr(float(traj.y[t]))
-            writer.writerow([t, repr(float(xt)), yt])

@@ -1,6 +1,8 @@
 """Shared fixtures: the reference parameter point, standard problems, and
 a random admissible-parameter generator used by the property suites."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def problem_for(params: ModelParams, unknown, margin: float = 4.0) -> ParamProbl
         if name not in names
     }
     return ParamProblem(unknown=names, bounds=bounds, known=known)
+
+
+def write_series_csv(path, values):
+    """An observation file as the CLI's --data flag reads it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x"])
+        for t, v in enumerate(values):
+            writer.writerow([t, repr(float(v))])
 
 
 @pytest.fixture

@@ -15,9 +15,9 @@ from hidden_ar import (
     s_star_limit,
     simulate,
 )
-from hidden_ar.adaptive import adaptive_to_csv
+from hidden_ar.cli import main
 
-from conftest import REF, REF_VALUES, random_params
+from conftest import REF, REF_VALUES, random_params, write_series_csv
 
 
 class TestOracleReduction:
@@ -70,6 +70,18 @@ class TestAdaptiveRun:
         short_track = one_step_scalar(x[:1501], problem_b)
         with pytest.raises(MismatchedLengths):
             adaptive_filter(x, problem_b, track=short_track)
+
+    def test_track_for_another_problem_rejected(self, problem_b, problem_f):
+        x = simulate(REF, 2000, seed=86).x
+        track_f = one_step_scalar(x, problem_f)
+        with pytest.raises(ValueError, match="fitted for"):
+            adaptive_filter(x, problem_b, track=track_f)
+
+    def test_frozen_point_must_match_known_values(self, problem_b):
+        x = simulate(REF, 2000, seed=87).x
+        with pytest.raises(ValueError, match="contradicts"):
+            adaptive_filter(x, problem_b, frozen_at=REF.replace(a=0.9, b=2.0))
+        adaptive_filter(x, problem_b, frozen_at=REF.replace(b=2.0))
 
     def test_oracle_track_recorded(self, problem_b):
         x = simulate(REF, 1000, seed=85).x
@@ -179,8 +191,9 @@ class TestAdaptiveCsv:
     def test_roundtrip(self, tmp_path, problem_b):
         x = simulate(REF, 400, seed=93).x
         trace = adaptive_filter(x, problem_b, truth=REF)
+        argv = ["adaptive", "--T", "400", "--seed", "93", "--bounds", "b=0.1:5", "--out", str(tmp_path)]
+        assert main(argv) == 0
         path = tmp_path / "adaptive.csv"
-        adaptive_to_csv(trace, x, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(trace.m_star)
@@ -190,11 +203,11 @@ class TestAdaptiveCsv:
         got_theta = np.array([float(r["theta_star_1"]) for r in rows])
         np.testing.assert_allclose(got_theta, trace.theta_plug[:, 0], rtol=0, atol=1e-12)
 
-    def test_blank_oracle_columns_when_frozen(self, tmp_path, problem_b):
-        x = simulate(REF, 400, seed=94).x
-        trace = adaptive_filter(x, problem_b, frozen_at=REF)
+    def test_blank_oracle_columns_without_truth(self, tmp_path):
+        data = tmp_path / "x.csv"
+        write_series_csv(data, simulate(REF, 400, seed=94).x)
+        assert main(["adaptive", "--data", str(data), "--out", str(tmp_path)]) == 0
         path = tmp_path / "adaptive.csv"
-        adaptive_to_csv(trace, x, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["oracle_m"] == "" and r["sq_error"] == "" for r in rows)

@@ -9,7 +9,7 @@ import pytest
 import hidden_ar.adaptive as adaptive_mod
 from hidden_ar.cli import main
 
-from conftest import REF_VALUES
+from conftest import REF_VALUES, write_series_csv
 
 
 def run_cli(capsys, argv):
@@ -17,14 +17,6 @@ def run_cli(capsys, argv):
     out = capsys.readouterr()
     lines = [json.loads(line) for line in out.out.splitlines() if line.strip()]
     return code, lines, out.err
-
-
-def write_series_csv(path, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"])
-        for t, v in enumerate(values):
-            writer.writerow([t, repr(float(v))])
 
 
 class TestSimulate:

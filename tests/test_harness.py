@@ -19,6 +19,7 @@ from hidden_ar import (
     stationary,
 )
 import hidden_ar.adaptive as adaptive_mod
+from hidden_ar.harness import write_columns
 
 from conftest import REF
 
@@ -305,6 +306,29 @@ class TestFailureCapture:
         for cell in report.cells:
             assert cell["failures"] == 1
             assert cell["n"] == 5
+
+
+class TestWriteColumns:
+    def test_cell_format(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        floats = [0.1, -0.0, 1e-300, 5e-324]
+        write_columns(
+            str(path),
+            {"z": [1, 2, 3, 4], "a": floats, "gap": [None, 2.5, None, -1.0], "n": [0, 1, -7, 10**20]},
+        )
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["z", "a", "gap", "n"]
+        body = rows[1:]
+        assert [r[0] for r in body] == ["1", "2", "3", "4"]
+        got = [float(r[1]) for r in body]
+        assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in floats]
+        assert [r[2] for r in body] == ["", "2.5", "", "-1.0"]
+        assert [r[3] for r in body] == ["0", "1", "-7", str(10**20)]
+
+    def test_unequal_lengths_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(str(tmp_path / "bad.csv"), {"t": [0, 1, 2], "innovation": [0.5, 0.25]})
 
 
 class TestExport:

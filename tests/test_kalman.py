@@ -23,7 +23,7 @@ from hidden_ar import (
     simulate,
     stationary,
 )
-from hidden_ar.kalman import filter_to_csv
+from hidden_ar.cli import main
 
 from conftest import REF, problem_for, random_params
 
@@ -53,6 +53,25 @@ def test_non_finite_observations_rejected(entry, bad):
     x[200] = bad
     with pytest.raises(NonFiniteObservations, match=r"x\[200\]"):
         SERIES_ENTRY_POINTS[entry](x)
+
+
+# Every entry point with a scalar starting value, fed a non-finite one.
+NON_FINITE_STARTS = {
+    "filter_stationary m0=nan": lambda x: filter_stationary(REF, x, m0=np.nan),
+    "filter_transient m0=inf": lambda x: filter_transient(REF, x, m0=np.inf),
+    "filter_transient gamma0=nan": lambda x: filter_transient(REF, x, gamma0=np.nan),
+    "filter_derivative m0=nan": lambda x: filter_derivative(REF, x, "b", m0=np.nan),
+    "filter_derivative dm0=inf": lambda x: filter_derivative(REF, x, "b", dm0=np.inf),
+    "one_step_scalar prelim=nan": lambda x: one_step_scalar(x, PROBLEM_B, prelim=[np.nan]),
+    "one_step_pair prelim=(1, -inf)": lambda x: one_step_pair(x, PROBLEM_FA, prelim=[1.0, -np.inf]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_STARTS))
+def test_non_finite_start_rejected(case):
+    x = simulate(REF, 400, seed=210).x
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_STARTS[case](x)
 
 
 def reference_transient(params, x, m0=0.0, gamma0=0.0):
@@ -176,8 +195,9 @@ class TestFilterCsv:
     def test_roundtrip(self, tmp_path):
         x = simulate(REF, 30, seed=25).x
         trace = filter_derivative(REF, x, "b")
+        argv = ["filter", "--T", "30", "--seed", "25", "--wrt", "b", "--out", str(tmp_path)]
+        assert main(argv) == 0
         path = tmp_path / "filter.csv"
-        filter_to_csv(trace, x, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 31

@@ -17,7 +17,7 @@ from hidden_ar import (
     one_step_scalar,
     simulate,
 )
-from hidden_ar.onestep import estimator_to_csv
+from hidden_ar.cli import main
 
 from conftest import REF, REF_VALUES
 
@@ -220,8 +220,9 @@ class TestEstimatorCsv:
     def test_roundtrip(self, tmp_path, problem_b):
         x = simulate(REF, 300, seed=53).x
         trace = one_step_scalar(x, problem_b)
+        argv = ["onestep", "--T", "300", "--seed", "53", "--bounds", "b=0.1:5", "--out", str(tmp_path)]
+        assert main(argv) == 0
         path = tmp_path / "estimator.csv"
-        estimator_to_csv(trace, str(path))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(trace.t_grid)

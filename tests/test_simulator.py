@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hidden_ar import InvalidSeed, ZeroHorizon, simulate
-from hidden_ar.simulator import trajectory_to_csv
+from hidden_ar.cli import main
 
 from conftest import REF
 
@@ -94,8 +94,8 @@ class TestSimulate:
 class TestTrajectoryCsv:
     def test_roundtrip(self, tmp_path):
         traj = simulate(REF, 20, seed=3)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, str(path))
+        assert main(["simulate", "--T", "20", "--seed", "3", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "trajectory.csv"
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 21
@@ -105,9 +105,9 @@ class TestTrajectoryCsv:
         np.testing.assert_allclose(got_y, traj.y, rtol=0, atol=1e-12)
 
     def test_hidden_column_blank_when_dropped(self, tmp_path):
-        traj = simulate(REF, 20, seed=3, keep_hidden=False)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, str(path))
+        argv = ["simulate", "--T", "20", "--seed", "3", "--no-hidden", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "trajectory.csv"
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["y"] == "" for r in rows)
