@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedLengths, UnsupportedSet, as_series
-from .kalman import FilterTrace, filter_stationary
+from .kalman import filter_stationary
 from .model_core import (
-    COORDINATES,
     INFORMATION_SETS,
     ModelParams,
     ParamProblem,
@@ -52,6 +51,8 @@ class AdaptiveTrace:
                   filter was run with a frozen parameter point)
     oracle_m    : stationary-filter track at the true point, full length
                   T+1, when the truth was supplied
+    truth       : the true parameter point the run is scored against, or
+                  None
     theta_plug  : per-step parameter values used at t = tau+1 .. T
                   (canonical coordinate order of the problem)
     problem     : the estimation problem
@@ -61,6 +62,7 @@ class AdaptiveTrace:
     m_star: np.ndarray
     theta_track: EstimatorTrace | None
     oracle_m: np.ndarray | None
+    truth: ModelParams | None
     theta_plug: np.ndarray
     problem: ParamProblem
 
@@ -97,7 +99,9 @@ def adaptive_filter(
     bypasses estimation entirely and plugs a fixed parameter point into
     every step, which reduces the recursion to the stationary filter; its
     known coordinates must equal the problem's (else ValueError). ``truth``
-    additionally records the oracle track m_t(truth) for error reporting.
+    records the true point and its oracle track m_t(truth), which
+    :func:`error_report` scores the run against; its known coordinates must
+    equal the problem's too (else ValueError).
     """
     problem.require_complete()
     x = as_series(x, 2)
@@ -124,11 +128,7 @@ def adaptive_filter(
             [track.prelim, track.prelim] + [track.path[: horizon - tau - 2]]
         )
 
-    coords = {
-        name: problem.known[name] if name in problem.known else theta_plug[:, problem.unknown.index(name)]
-        for name in COORDINATES
-    }
-    sq = stationary_from(**coords)
+    sq = stationary_from(**problem.coordinates(theta_plug.T))
 
     m_star = []
     prev = 0.0  # m*_tau
@@ -138,56 +138,46 @@ def adaptive_filter(
 
     oracle_m = None
     if truth is not None:
+        validate(truth, problem)
         oracle_m = filter_stationary(truth, x, m0=0.0).m
     return AdaptiveTrace(
         tau=tau,
         m_star=np.array(m_star),
         theta_track=track,
         oracle_m=oracle_m,
+        truth=truth,
         theta_plug=theta_plug,
         problem=problem,
     )
 
 
-def s_star_limit(params: ModelParams, unknown="b") -> float:
-    """The limit of t * E(m*_t - m_t)^2 for a scalar unknown coordinate.
+def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
+    """The limit of t * E(m*_t - m_t)^2 for the unknown set ("b",), ("f",)
+    or ("a",); UnsupportedSet for any other.
 
     Exact for unknown b; the same formula pattern is applied for f and a
     (experimental: the plugged-in coordinate changes, the structure of the
     error recursion does not).
     """
-    if isinstance(unknown, str):
-        coord = unknown
-    else:
-        names = tuple(unknown)
-        if len(names) != 1:
-            raise UnsupportedSet(f"s_star_limit needs a scalar unknown, got {names}")
-        coord = names[0]
-    if coord not in ("b", "f", "a"):
-        raise UnsupportedSet(f"s_star_limit supports b, f, a; got {coord!r}")
+    if unknown not in (("b",), ("f",), ("a",)):
+        raise UnsupportedSet(f"s_star_limit supports ('b',), ('f',), ('a',); got {unknown!r}")
     sq = stationary(params)
-    grad = stationary_gradient(params, coord)
-    info = scalar_fisher(params, coord)
+    grad = stationary_gradient(params, unknown[0])
+    info = scalar_fisher(params, unknown[0])
     return grad.d_b_coef * grad.d_b_coef / (info * (1.0 - sq.a_coef * sq.a_coef))
 
 
-def error_report(
-    trace: AdaptiveTrace, oracle: FilterTrace, checkpoints
-) -> list[dict[str, float]]:
-    """Normalized errors at t = floor(v*T) for each checkpoint v.
+def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
+    """Normalized errors at t = floor(v*T) for each checkpoint v, against
+    the truth the trace was run with (ValueError for a trace run without).
 
     filter_error    : t * (m*_t - m_t(theta_0))^2
     estimator_error : t * |theta_hat_t - theta_0|^2 (None for frozen runs)
-
-    The oracle must be the stationary filter at the true point on the same
-    observations (full track, length T+1).
     """
+    if trace.truth is None:
+        raise ValueError("the adaptive run has no truth to score against; pass truth= to adaptive_filter")
     horizon = trace.horizon
-    if len(oracle.m) != horizon + 1:
-        raise MismatchedLengths(
-            f"oracle track has {len(oracle.m)} points, expected {horizon + 1}"
-        )
-    truth_values = trace.problem.values_of(oracle.params)
+    truth_values = trace.problem.values_of(trace.truth)
     rows: list[dict[str, float]] = []
     for v in checkpoints:
         if not 0.0 < v <= 1.0:
@@ -197,7 +187,7 @@ def error_report(
             raise ValueError(
                 f"checkpoint v={v} gives t={t} inside the learning interval (tau={trace.tau})"
             )
-        diff = trace.m_star_at(t) - float(oracle.m[t])
+        diff = trace.m_star_at(t) - float(trace.oracle_m[t])
         row = {"v": float(v), "t": float(t), "filter_error": t * diff * diff}
         if trace.theta_track is not None:
             dev = trace.theta_track.theta_at(t) - truth_values

@@ -214,33 +214,35 @@ def _cmd_adaptive(args) -> int:
     truth = None if args.data else params
     trace = adaptive_filter(x, problem, args.delta, truth=truth)
     start = trace.tau + 1
+    blank = [None] * len(trace.m_star)
     columns = {
         "t": list(range(start, len(x))),
         "x": x[start:].tolist(),
         "m_star": trace.m_star.tolist(),
         **{f"theta_star_{j + 1}": col for j, col in enumerate(trace.theta_plug.T.tolist())},
-        "oracle_m": [None] * len(trace.m_star),
-        "sq_error": [None] * len(trace.m_star),
+        "oracle_m": blank,
+        "sq_error": blank,
     }
-    if trace.oracle_m is not None:
+    summary = {"tau": trace.tau, "s_star_limit": None}
+    if truth is not None:
         diff = trace.m_star - trace.oracle_m[start:]
         columns["oracle_m"] = trace.oracle_m[start:].tolist()
         columns["sq_error"] = (diff * diff).tolist()
-    path = _write(args.out, "adaptive.csv", columns)
-    summary = {"written": path, "tau": trace.tau, "s_star_limit": None}
+        (row,) = error_report(trace, [1.0])
+        summary["normalized_filter_error"] = row["filter_error"]
+        summary["normalized_estimator_error"] = row["estimator_error"]
+    summary["written"] = _write(args.out, "adaptive.csv", columns)
     if problem.dim == 1:
         summary["s_star_limit"] = s_star_limit(params, problem.unknown)
-    if truth is not None:
-        oracle = filter_stationary(truth, x)
-        rows = error_report(trace, oracle, [1.0])
-        summary["normalized_filter_error"] = rows[0]["filter_error"]
-        summary["normalized_estimator_error"] = rows[0]["estimator_error"]
     _print(summary)
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
+    given = [name for name in args.inline_defaults if getattr(args, name) is not None]
     if args.config:
+        if given:
+            raise ValueError(f"--{given[0]} cannot be combined with --config; set it in the config file")
         with open(args.config) as fh:
             obj = json.load(fh)
         if args.seed is not None:
@@ -249,6 +251,7 @@ def _cmd_montecarlo(args) -> int:
             obj["outputs"] = args.out
         config = ExperimentConfig.from_dict(obj)
     else:
+        vars(args).update({name: v for name, v in args.inline_defaults.items() if name not in given})
         params = _params_from(args)
         problem = _problem_from(args, params)
         config = ExperimentConfig(
@@ -259,12 +262,11 @@ def _cmd_montecarlo(args) -> int:
             delta=args.delta,
             checkpoints=tuple(float(v) for v in args.checkpoints.split(",")),
             seed=args.seed if args.seed is not None else 0,
-            outputs=args.out,
+            outputs=args.out if args.out is not None else ".",
             estimators=tuple(args.estimators.split(",")),
         )
     report = run_monte_carlo(config)
-    out_dir = config.outputs or args.out or "."
-    paths = export(report, out_dir)
+    paths = export(report, config.outputs or ".")
     for cell in report.cells:
         line = {
             "estimator": f"{cell['estimator']}:{cell['coord']}",
@@ -350,8 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--checkpoints", default="0.5,1.0")
     p.add_argument("--estimators", default="onestep,adaptive")
-    p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_montecarlo)
+    p.add_argument("--out", default=None, help="output directory (default: the config's outputs, else .)")
+    # The experiment flags describe the experiment only in an inline run:
+    # they default to None so that one given with --config is detected.
+    inline = "a b f sigma2 T unknown bounds delta replications checkpoints estimators".split()
+    p.set_defaults(func=_cmd_montecarlo, inline_defaults={name: p.get_default(name) for name in inline})
+    p.set_defaults(**dict.fromkeys(inline))
 
     return parser
 

@@ -132,9 +132,7 @@ def _objective(x, problem: ParamProblem):
     stats = _lag_statistics(x, a_max)
 
     def value(*columns):
-        coords = dict(problem.known)
-        coords.update(zip(problem.unknown, columns))
-        return _evaluate(stats, **coords)
+        return _evaluate(stats, **problem.coordinates(columns))
 
     return value
 
@@ -247,4 +245,7 @@ def bayes(x, problem: ParamProblem, spec: PosteriorSpec | None = None) -> np.nda
     total = float(mass.sum())
     if not (math.isfinite(total) and total > 0.0):
         raise DegeneratePosterior("posterior weights vanished after stabilization")
-    return np.array([float((node * mass).sum() / total) for node in nodes])
+    mean = np.array([float((node * mass).sum() / total) for node in nodes])
+    # A weighted mean of nodes lies in the box, but with all the mass on an
+    # edge node its rounding can pass that edge by one ulp.
+    return problem.clip(mean)[0]

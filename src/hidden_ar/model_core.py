@@ -180,9 +180,11 @@ class ParamProblem:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if values.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} values for {self.unknown}, got shape {values.shape}")
-        merged = dict(self.known)
-        merged.update(zip(self.unknown, (float(v) for v in values)))
-        return ModelParams(**merged)
+        return ModelParams(**self.coordinates(values))
+
+    def coordinates(self, columns) -> dict:
+        """The known values plus one float or array column per unknown, in canonical order."""
+        return {**self.known, **dict(zip(self.unknown, columns))}
 
     def values_of(self, params: ModelParams) -> np.ndarray:
         """Extract the unknown coordinates of ``params`` in canonical order."""

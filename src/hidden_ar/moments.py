@@ -85,16 +85,27 @@ def phi(params: ModelParams) -> tuple[float, float, float]:
     return phi1, phi2, phi3
 
 
-def _f_sign(problem: ParamProblem) -> float:
+def _scale_root(problem: ParamProblem, target: str, rad: float, reason: str, degenerate: list[str]) -> float:
+    """The scale coordinate ``target`` (f or b) whose square is ``rad``; f
+    takes the sign of its bounds. A nonpositive ``rad`` gives zero and is
+    recorded as ``target:reason``."""
+    if rad <= 0.0:
+        degenerate.append(f"{target}:{reason}")
+        mag = 0.0
+    else:
+        mag = math.sqrt(rad)
+    if target == "b":
+        return mag
     lo, _ = problem.bounds["f"]
-    return 1.0 if lo > 0.0 else -1.0
+    return (1.0 if lo > 0.0 else -1.0) * mag
 
 
-def _sqrt_or_zero(radicand: float, label: str, degenerate: list[str]) -> float:
-    if radicand <= 0.0:
-        degenerate.append(label)
-        return 0.0
-    return math.sqrt(radicand)
+def _scale_from_s1(s1: float, problem: ParamProblem, target: str, a: float, degenerate: list[str]) -> float:
+    """f (or b) from S1 = 2 f^2 b^2 / (1+a) + 2 sigma2, given a and the
+    known b (or f) and sigma2."""
+    other = problem.known["b" if target == "f" else "f"]
+    rad = (s1 - 2.0 * problem.known["sigma2"]) * (1.0 + a) / (2.0 * other * other)
+    return _scale_root(problem, target, rad, "radicand_nonpositive", degenerate)
 
 
 def _invert(stats: MomentStats, problem: ParamProblem) -> tuple[dict[str, float], list[str]]:
@@ -106,14 +117,8 @@ def _invert(stats: MomentStats, problem: ParamProblem) -> tuple[dict[str, float]
     degenerate: list[str] = []
     raw: dict[str, float] = {}
 
-    if unknown == ("f",):
-        a, b, s2k = known["a"], known["b"], known["sigma2"]
-        rad = (s1 - 2.0 * s2k) * (1.0 + a) / (2.0 * b * b)
-        raw["f"] = _f_sign(problem) * _sqrt_or_zero(rad, "f:radicand_nonpositive", degenerate)
-    elif unknown == ("b",):
-        a, f, s2k = known["a"], known["f"], known["sigma2"]
-        rad = (s1 - 2.0 * s2k) * (1.0 + a) / (2.0 * f * f)
-        raw["b"] = _sqrt_or_zero(rad, "b:radicand_nonpositive", degenerate)
+    if unknown in (("f",), ("b",)):
+        raw[unknown[0]] = _scale_from_s1(s1, problem, unknown[0], known["a"], degenerate)
     elif unknown == ("a",):
         b, f, s2k = known["b"], known["f"], known["sigma2"]
         den = s1 - 2.0 * s2k
@@ -126,17 +131,14 @@ def _invert(stats: MomentStats, problem: ParamProblem) -> tuple[dict[str, float]
         a, b, f = known["a"], known["b"], known["f"]
         raw["sigma2"] = s1 / 2.0 - f * f * b * b / (1.0 + a)
     elif unknown == ("f", "a"):
-        b, s2k = known["b"], known["sigma2"]
-        den = s1 - 2.0 * s2k
+        den = s1 - 2.0 * known["sigma2"]
         if abs(den) < _DEGENERATE_TOL:
             degenerate.append("a:denominator_near_zero")
             a_raw = math.inf if s1 + 2.0 * s2 >= 0.0 else -math.inf
         else:
             a_raw = (s1 + 2.0 * s2) / den
         raw["a"] = a_raw
-        a_used = _clip_one(problem, "a", a_raw)
-        rad = (s1 - 2.0 * s2k) * (1.0 + a_used) / (2.0 * b * b)
-        raw["f"] = _f_sign(problem) * _sqrt_or_zero(rad, "f:radicand_nonpositive", degenerate)
+        raw["f"] = _scale_from_s1(s1, problem, "f", _clip_one(problem, "a", a_raw), degenerate)
     elif unknown in (("a", "f", "sigma2"), ("a", "b", "sigma2")):
         scale_name = "b" if unknown == ("a", "f", "sigma2") else "f"
         scale = known[scale_name]
@@ -151,12 +153,10 @@ def _invert(stats: MomentStats, problem: ParamProblem) -> tuple[dict[str, float]
         pole = a_used * (a_used - 1.0)
         target = unknown[1]  # "f" or "b"
         if abs(pole) < _DEGENERATE_TOL:
-            degenerate.append(f"{target}:a_near_pole")
-            mag = 0.0
+            raw[target] = _scale_root(problem, target, 0.0, "a_near_pole", degenerate)
         else:
             rad = s3 * (1.0 + a_used) / (scale * scale * pole)
-            mag = _sqrt_or_zero(rad, f"{target}:radicand_nonpositive", degenerate)
-        raw[target] = _f_sign(problem) * mag if target == "f" else mag
+            raw[target] = _scale_root(problem, target, rad, "radicand_nonpositive", degenerate)
         # sigma2 from the clipped scale estimate, so the point stays coherent.
         t_used = _clip_one(problem, target, raw[target])
         fb2 = (t_used * t_used) * (scale * scale)

@@ -88,6 +88,14 @@ class TestAdaptiveRun:
         trace = adaptive_filter(x, problem_b, truth=REF)
         want = filter_stationary(REF, x, m0=0.0).m
         assert np.array_equal(trace.oracle_m, want)
+        assert trace.truth == REF
+
+    def test_truth_must_match_known_values(self, problem_b):
+        x = simulate(REF, 400, seed=1).x
+        with pytest.raises(ValueError, match="contradicts"):
+            adaptive_filter(x, problem_b, truth=REF.replace(a=0.1, b=3.0))
+        with pytest.raises(ValueError, match="contradicts"):
+            adaptive_filter(x, problem_b, frozen_at=REF, truth=REF.replace(a=0.1))
 
     def test_m_star_at_bounds(self, problem_b):
         x = simulate(REF, 1000, seed=86).x
@@ -111,22 +119,21 @@ class TestAdaptiveRun:
 
 class TestSStarLimit:
     def test_reference_value(self):
-        got = s_star_limit(REF, "b")
+        got = s_star_limit(REF, ("b",))
         assert got == pytest.approx(REF_VALUES["s_star_sq"], abs=1e-14)
         assert got == pytest.approx(2.0 / 9.0, abs=1e-14)
 
-    def test_tuple_form(self):
-        assert s_star_limit(REF, ("b",)) == s_star_limit(REF, "b")
-
     def test_other_coordinates_positive(self):
-        assert s_star_limit(REF, "f") > 0.0
-        assert s_star_limit(REF, "a") > 0.0
+        assert s_star_limit(REF, ("f",)) > 0.0
+        assert s_star_limit(REF, ("a",)) > 0.0
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedSet):
             s_star_limit(REF, ("f", "a"))
         with pytest.raises(UnsupportedSet):
-            s_star_limit(REF, "sigma2")
+            s_star_limit(REF, ("sigma2",))
+        with pytest.raises(UnsupportedSet):
+            s_star_limit(REF, "b")  # a coordinate name is not an unknown set
 
 
 class TestErrorReport:
@@ -134,7 +141,7 @@ class TestErrorReport:
         x = simulate(REF, 2000, seed=88).x
         trace = adaptive_filter(x, problem_b, truth=REF)
         oracle = filter_stationary(REF, x, m0=0.0)
-        rows = error_report(trace, oracle, [0.5, 1.0])
+        rows = error_report(trace, [0.5, 1.0])
         assert [r["v"] for r in rows] == [0.5, 1.0]
         assert rows[0]["t"] == 1000
         assert rows[1]["t"] == 2000
@@ -147,35 +154,34 @@ class TestErrorReport:
 
     def test_frozen_run_has_no_estimator_error(self, problem_b):
         x = simulate(REF, 2000, seed=89).x
-        trace = adaptive_filter(x, problem_b, frozen_at=REF)
-        oracle = filter_stationary(REF, x, m0=0.0)
-        rows = error_report(trace, oracle, [1.0])
+        trace = adaptive_filter(x, problem_b, frozen_at=REF, truth=REF)
+        rows = error_report(trace, [1.0])
         assert rows[0]["estimator_error"] is None
+        assert rows[0]["filter_error"] < 1e-20
 
     def test_checkpoint_validation(self, problem_b):
         x = simulate(REF, 2000, seed=90).x
         trace = adaptive_filter(x, problem_b, truth=REF)
-        oracle = filter_stationary(REF, x, m0=0.0)
         with pytest.raises(ValueError):
-            error_report(trace, oracle, [0.01])  # inside the learning interval
+            error_report(trace, [0.01])  # inside the learning interval
         with pytest.raises(ValueError):
-            error_report(trace, oracle, [1.5])
+            error_report(trace, [1.5])
         with pytest.raises(ValueError):
-            error_report(trace, oracle, [0.0])
+            error_report(trace, [0.0])
 
-    def test_oracle_length_checked(self, problem_b):
+    def test_run_without_truth_rejected(self, problem_b):
         x = simulate(REF, 2000, seed=91).x
-        trace = adaptive_filter(x, problem_b, truth=REF)
-        bad_oracle = filter_stationary(REF, x[:1000], m0=0.0)
-        with pytest.raises(MismatchedLengths):
-            error_report(trace, bad_oracle, [1.0])
+        with pytest.raises(ValueError, match="no truth"):
+            error_report(adaptive_filter(x, problem_b), [1.0])
+        with pytest.raises(ValueError, match="no truth"):
+            error_report(adaptive_filter(x, problem_b, frozen_at=REF), [1.0])
 
 
 class TestExcessRisk:
     def test_normalized_filter_risk_near_limit(self, problem_b):
         # Wide-bracket Monte Carlo guard; the acceptance suite runs the
         # full-strength version.
-        target = s_star_limit(REF, "b")
+        target = s_star_limit(REF, ("b",))
         errs = []
         t = 4000
         for rep in range(60):

@@ -214,6 +214,17 @@ class TestAdaptive:
         assert "normalized_filter_error" not in lines[-1]
 
 
+_SMALL_CONFIG = {
+    "params": {"a": 0.5, "b": 1.0, "f": 1.0, "sigma2": 1.0},
+    "problem": {"unknown": ["b"], "bounds": {"b": [0.1, 5.0]}},
+    "horizons": [300],
+    "replications": 3,
+    "estimators": ["onestep"],
+    "checkpoints": [1.0],
+    "seed": 5,
+}
+
+
 class TestMonteCarlo:
     def test_inline_flags(self, capsys, tmp_path):
         code, lines, _ = run_cli(
@@ -239,18 +250,9 @@ class TestMonteCarlo:
         }
 
     def test_config_file_with_seed_override(self, capsys, tmp_path):
-        config = {
-            "params": {"a": 0.5, "b": 1.0, "f": 1.0, "sigma2": 1.0},
-            "problem": {"unknown": ["b"], "bounds": {"b": [0.1, 5.0]}},
-            "horizons": [300],
-            "replications": 3,
-            "estimators": ["onestep"],
-            "checkpoints": [1.0],
-            "seed": 5,
-        }
         cfg_path = tmp_path / "config.json"
         with open(cfg_path, "w") as fh:
-            json.dump(config, fh)
+            json.dump(_SMALL_CONFIG, fh)
         code, _, _ = run_cli(
             capsys,
             [
@@ -268,6 +270,43 @@ class TestMonteCarlo:
             doc = json.load(fh)
         assert doc["config"]["seed"] == 11
         assert doc["config"]["replications"] == 3
+
+    def test_config_file_outputs_honored(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = dict(_SMALL_CONFIG, outputs="results_dir")
+        with open("config.json", "w") as fh:
+            json.dump(config, fh)
+        code, lines, _ = run_cli(capsys, ["montecarlo", "--config", "config.json"])
+        assert code == 0
+        assert lines[-1]["written"] == ["results_dir/report.csv", "results_dir/report.json"]
+        assert not (tmp_path / "report.json").exists()
+        with open(tmp_path / "results_dir" / "report.json") as fh:
+            assert json.load(fh)["config"]["outputs"] == "results_dir"
+        # --out, when given, still overrides the file.
+        code, lines, _ = run_cli(capsys, ["montecarlo", "--config", "config.json", "--out", "other"])
+        assert code == 0
+        assert (tmp_path / "other" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--T", "5000"),
+            ("--replications", "7"),
+            ("--estimators", "onestep"),
+            ("--a", "0.3"),
+            ("--delta", "0.6"),
+        ],
+    )
+    def test_config_with_experiment_flag_exit_2(self, capsys, tmp_path, flag, value):
+        cfg_path = tmp_path / "config.json"
+        with open(cfg_path, "w") as fh:
+            json.dump(_SMALL_CONFIG, fh)
+        code, _, err = run_cli(
+            capsys, ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path), flag, value]
+        )
+        assert code == 2
+        assert f"{flag} cannot be combined with --config" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_estimator_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

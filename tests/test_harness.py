@@ -222,7 +222,7 @@ class TestAggregation:
             for c in report.cells
             if c["estimator"] == "adaptive" and c["coord"] == "m" and c["v"] == 1.0
         )
-        assert m_cell["target"] == pytest.approx(s_star_limit(REF, "b"), rel=1e-12)
+        assert m_cell["target"] == pytest.approx(s_star_limit(REF, ("b",)), rel=1e-12)
         raw = np.array(
             [
                 r["value"]
@@ -241,7 +241,7 @@ class TestAggregation:
             for c in report.cells
             if c["estimator"] == "adaptive" and c["coord"] == "y" and c["v"] == 1.0
         )
-        want_target = stationary(REF).gamma_star + s_star_limit(REF, "b") / 400
+        want_target = stationary(REF).gamma_star + s_star_limit(REF, ("b",)) / 400
         assert y_cell["target"] == pytest.approx(want_target, rel=1e-12)
         assert y_cell["ks_pvalue"] is None
         raw_y = np.array(

@@ -194,6 +194,17 @@ class TestBayes:
         with pytest.raises(ValueError):
             bayes(x, problem_b, spec)
 
+    def test_mean_stays_in_box_with_all_mass_on_an_edge(self):
+        # On this series the posterior puts all its mass on the upper f edge;
+        # the weighted mean of the nodes used to round one ulp past it.
+        params = ModelParams(a=0.0, b=1.0, f=1.4118331797400818, sigma2=1.0)
+        problem = problem_for(params, ("f", "a"))
+        x = simulate(params, 30, seed=0).x * 1e150
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = bayes(x, problem, PosteriorSpec(grid_size=64))
+        assert values[0] == problem.bounds["f"][1]
+        assert problem.bounds["a"][0] <= values[1] <= problem.bounds["a"][1]
+
     def test_degenerate_posterior(self, problem_b):
         # Finite observations whose squares overflow to inf.
         x = simulate(REF, 100, seed=72).x * 1e155

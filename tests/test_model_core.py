@@ -139,6 +139,14 @@ class TestParamProblem:
             problem_fa.values_of(params), np.array([1.3, -0.2])
         )
 
+    def test_coordinates_merge_floats_and_columns(self, problem_fa):
+        assert problem_fa.coordinates((1.3, -0.2)) == {"a": -0.2, "b": 1.0, "f": 1.3, "sigma2": 1.0}
+        block = np.array([[1.3, -0.2], [2.0, 0.4], [0.7, 0.1]])
+        coords = problem_fa.coordinates(block.T)
+        assert coords["b"] == 1.0 and coords["sigma2"] == 1.0
+        np.testing.assert_array_equal(coords["f"], block[:, 0])
+        np.testing.assert_array_equal(coords["a"], block[:, 1])
+
     def test_clip(self, problem_fa):
         values, side = problem_fa.clip(np.array([7.0, -0.95]))
         np.testing.assert_array_equal(values, np.array([5.0, -0.9]))
