@@ -12,11 +12,13 @@ and the preliminary estimate before that. The scoring corrections feeding
 step t use observations up to x_{t-1} only; the moment preliminary is fit
 on the whole series (batch setting, see the onestep module).
 
-The normalized excess risk t * E(m*_t - m_t(theta_0))^2 converges to
+For unknown b the normalized excess risk t * E(m*_t - m_t(theta_0))^2
+converges to
 
-    S*^2 = Bdot*^2 / (I_psi (1 - A^2)),   Bdot* = sqrt(P) * d e / d psi,
+    S*^2 = Bdot*^2 / (I_b (1 - A^2)),   Bdot* = sqrt(P) * d e / d b,
 
-which for psi = b is a f sigma2 gammadot* / P^(3/2).
+which is a f sigma2 gammadot* / P^(3/2). For f and a the derivative track
+carries a term in m that this formula omits, so s_star_limit rejects them.
 """
 
 from __future__ import annotations
@@ -152,18 +154,19 @@ def adaptive_filter(
 
 
 def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
-    """The limit of t * E(m*_t - m_t)^2 for the unknown set ("b",), ("f",)
-    or ("a",); UnsupportedSet for any other.
+    """The limit of t * E(m*_t - m_t)^2 for the unknown set ("b",);
+    UnsupportedSet for any other.
 
-    Exact for unknown b; the same formula pattern is applied for f and a
-    (experimental: the plugged-in coordinate changes, the structure of the
-    error recursion does not).
+    The formula keeps only the innovation-driven part of the derivative
+    track dm. At the true point dm_t = A dm_{t-1} + (Adot + f edot) m_{t-1}
+    + edot sqrt(P) z_t, and the m-term vanishes only for b (A + f e = a):
+    for f and a the formula misses it, so those sets are rejected.
     """
-    if unknown not in (("b",), ("f",), ("a",)):
-        raise UnsupportedSet(f"s_star_limit supports ('b',), ('f',), ('a',); got {unknown!r}")
+    if unknown != ("b",):
+        raise UnsupportedSet(f"s_star_limit supports ('b',); got {unknown!r}")
     sq = stationary(params)
-    grad = stationary_gradient(params, unknown[0])
-    info = scalar_fisher(params, unknown[0])
+    grad = stationary_gradient(params, "b")
+    info = scalar_fisher(params, "b")
     return grad.d_b_coef * grad.d_b_coef / (info * (1.0 - sq.a_coef * sq.a_coef))
 
 

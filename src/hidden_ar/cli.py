@@ -4,7 +4,9 @@ Subcommands: simulate, filter, mme, onestep, mle, bayes, adaptive,
 montecarlo. Every estimation subcommand either reads observations from a
 CSV (--data, header with an x column) or simulates its own trajectory from
 the inline parameter flags, which then also serve as the known coordinate
-values of the estimation problem.
+values of the estimation problem. Each flag is declared once, in _FLAGS;
+each subcommand names its help, handler and flags in _COMMANDS. Inline
+montecarlo flags build the same document a --config file holds.
 
 Exit codes: 0 success, 2 validation error (bad arguments, inadmissible
 parameters, unsupported sets, including one a Monte Carlo estimator
@@ -38,58 +40,77 @@ _DEFAULT_BOUNDS = {
     "sigma2": (0.05, 5.0),
 }
 
-
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, default=0.5, help="AR coefficient (default 0.5)")
-    parser.add_argument("--b", type=float, default=1.0, help="state noise scale (default 1)")
-    parser.add_argument("--f", type=float, default=1.0, help="observation gain (default 1)")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="observation noise variance (default 1)")
-
-
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--T", type=int, default=10000, help="horizon for simulated data (default 10000)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--data", default=None, help="CSV file with an x column; overrides simulation")
-
-
-def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--unknown", default="b", help="comma-separated unknown coordinates (default b)")
-    parser.add_argument(
-        "--bounds",
+# Every flag, declared once: its name without the dashes and the settings
+# argparse receives. A subcommand picks its flags by name in _COMMANDS.
+_FLAGS = {
+    "a": dict(type=float, default=0.5, help="AR coefficient (default 0.5)"),
+    "b": dict(type=float, default=1.0, help="state noise scale (default 1)"),
+    "f": dict(type=float, default=1.0, help="observation gain (default 1)"),
+    "sigma2": dict(type=float, default=1.0, help="observation noise variance (default 1)"),
+    "T": dict(type=int, default=10000, help="horizon for simulated data (default 10000)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "data": dict(default=None, help="CSV file with an x column; overrides simulation"),
+    "unknown": dict(default="b", help="comma-separated unknown coordinates (default b)"),
+    "bounds": dict(
         default=None,
         help="per-coordinate bounds as name=lo:hi[,name=lo:hi...]; defaults: "
         "a=-0.9:0.9, b/f/sigma2=0.05:5",
-    )
+    ),
+    "wrt": dict(default=None, choices=["f", "b", "a"], help="add a derivative track"),
+    "no-hidden": dict(action="store_true", help="drop the hidden state column"),
+    "delta": dict(type=float, default=0.6),
+    "grid-size": dict(type=int, default=512),
+    "replications": dict(type=int, default=100),
+    "checkpoints": dict(default="0.5,1.0"),
+    "estimators": dict(default="onestep,adaptive"),
+    "config": dict(
+        default=None,
+        help="JSON file mirroring ExperimentConfig; --seed and --out override its seed and outputs",
+    ),
+    "out": dict(default=".", help="output directory (default .)"),
+}
 
-
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=".", help="output directory (default .)")
+_MODEL = ("a", "b", "f", "sigma2")
+_INPUT = _MODEL + ("T", "seed", "data")
+_PROBLEM = ("unknown", "bounds")
+# The flags that describe a Monte Carlo experiment, which --config replaces.
+_EXPERIMENT = _MODEL + ("T",) + _PROBLEM + ("delta", "replications", "checkpoints", "estimators")
 
 
 def _params_from(args) -> ModelParams:
     return ModelParams(a=args.a, b=args.b, f=args.f, sigma2=args.sigma2)
 
 
-def _problem_from(args, params: ModelParams) -> ParamProblem:
-    unknown = tuple(name.strip() for name in args.unknown.split(",") if name.strip())
+def _problem_doc(args) -> dict:
+    unknown = [name.strip() for name in args.unknown.split(",") if name.strip()]
     bounds = {name: _DEFAULT_BOUNDS[name] for name in unknown if name in _DEFAULT_BOUNDS}
     if args.bounds:
         for item in args.bounds.split(","):
             name, _, span = item.partition("=")
             lo, _, hi = span.partition(":")
             bounds[name.strip()] = (float(lo), float(hi))
-    problem = ParamProblem(unknown=unknown, bounds=bounds)
-    return validate(params, problem)
+    return {"unknown": unknown, "bounds": bounds}
 
 
-def _load_or_simulate(args, params: ModelParams) -> np.ndarray:
-    if args.data:
-        with open(args.data, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "x" not in reader.fieldnames:
-                raise ValueError(f"{args.data} has no x column")
-            return as_series([float(row["x"]) for row in reader], 2)
-    return simulate(params, args.T, args.seed, keep_hidden=False).x
+def _inputs(args) -> tuple[ModelParams, ParamProblem | None, np.ndarray]:
+    """(params, problem, x) from the model, problem and input flags; problem
+    is None for a subcommand without --unknown. x is read from --data, or
+    simulated for --T steps from --seed."""
+    params = _params_from(args)
+    problem = None
+    if "unknown" in vars(args):
+        problem = validate(params, ParamProblem(**_problem_doc(args)))
+    if not args.data:
+        return params, problem, simulate(params, args.T, args.seed, keep_hidden=False).x
+    with open(args.data, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "x" not in reader.fieldnames:
+            raise ValueError(f"{args.data} has no x column")
+        return params, problem, as_series([float(row["x"]) for row in reader], 2)
+
+
+def _named(problem: ParamProblem, values) -> dict[str, float]:
+    return {name: float(v) for name, v in zip(problem.unknown, values)}
 
 
 def _print(obj) -> None:
@@ -118,8 +139,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    params = _params_from(args)
-    x = _load_or_simulate(args, params)
+    params, _, x = _inputs(args)
     if args.wrt:
         trace = filter_derivative(params, x, args.wrt)
     else:
@@ -146,13 +166,11 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_mme(args) -> int:
-    params = _params_from(args)
-    problem = _problem_from(args, params)
-    x = _load_or_simulate(args, params)
+    _, problem, x = _inputs(args)
     est = mme(x, problem)
     _print(
         {
-            "estimate": dict(zip(problem.unknown, [float(v) for v in est.values])),
+            "estimate": _named(problem, est.values),
             "clipped": est.clip_flags,
             "degenerate": list(est.degenerate),
             "s_statistics": [est.stats.s1, est.stats.s2, est.stats.s3],
@@ -162,9 +180,7 @@ def _cmd_mme(args) -> int:
 
 
 def _cmd_onestep(args) -> int:
-    params = _params_from(args)
-    problem = _problem_from(args, params)
-    x = _load_or_simulate(args, params)
+    _, problem, x = _inputs(args)
     trace = _fit_track(x, problem, args.delta)
     columns = {
         "t": trace.t_grid.tolist(),
@@ -176,41 +192,29 @@ def _cmd_onestep(args) -> int:
         {
             "written": path,
             "tau": trace.tau,
-            "prelim": dict(zip(problem.unknown, [float(v) for v in trace.prelim])),
-            "final": dict(zip(problem.unknown, [float(v) for v in trace.path[-1]])),
+            "prelim": _named(problem, trace.prelim),
+            "final": _named(problem, trace.path[-1]),
         }
     )
     return 0
 
 
 def _cmd_mle(args) -> int:
-    params = _params_from(args)
-    problem = _problem_from(args, params)
-    x = _load_or_simulate(args, params)
+    _, problem, x = _inputs(args)
     values = mle(x, problem)
-    point = problem.point(values)
-    _print(
-        {
-            "estimate": dict(zip(problem.unknown, [float(v) for v in values])),
-            "loglik": log_likelihood(x, point),
-        }
-    )
+    _print({"estimate": _named(problem, values), "loglik": log_likelihood(x, problem.point(values))})
     return 0
 
 
 def _cmd_bayes(args) -> int:
-    params = _params_from(args)
-    problem = _problem_from(args, params)
-    x = _load_or_simulate(args, params)
+    _, problem, x = _inputs(args)
     values = bayes(x, problem, PosteriorSpec(grid_size=args.grid_size))
-    _print({"estimate": dict(zip(problem.unknown, [float(v) for v in values]))})
+    _print({"estimate": _named(problem, values)})
     return 0
 
 
 def _cmd_adaptive(args) -> int:
-    params = _params_from(args)
-    problem = _problem_from(args, params)
-    x = _load_or_simulate(args, params)
+    params, problem, x = _inputs(args)
     truth = None if args.data else params
     trace = adaptive_filter(x, problem, args.delta, truth=truth)
     start = trace.tau + 1
@@ -232,39 +236,36 @@ def _cmd_adaptive(args) -> int:
         summary["normalized_filter_error"] = row["filter_error"]
         summary["normalized_estimator_error"] = row["estimator_error"]
     summary["written"] = _write(args.out, "adaptive.csv", columns)
-    if problem.dim == 1:
+    if problem.unknown == ("b",):
         summary["s_star_limit"] = s_star_limit(params, problem.unknown)
     _print(summary)
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
-    given = [name for name in args.inline_defaults if getattr(args, name) is not None]
+    given = [name for name in _EXPERIMENT if getattr(args, name) is not None]
     if args.config:
         if given:
             raise ValueError(f"--{given[0]} cannot be combined with --config; set it in the config file")
         with open(args.config) as fh:
-            obj = json.load(fh)
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        if args.out is not None:
-            obj["outputs"] = args.out
-        config = ExperimentConfig.from_dict(obj)
+            doc = json.load(fh)
     else:
-        vars(args).update({name: v for name, v in args.inline_defaults.items() if name not in given})
-        params = _params_from(args)
-        problem = _problem_from(args, params)
-        config = ExperimentConfig(
-            params=params,
-            problem=problem,
-            horizons=(args.T,),
-            replications=args.replications,
-            delta=args.delta,
-            checkpoints=tuple(float(v) for v in args.checkpoints.split(",")),
-            seed=args.seed if args.seed is not None else 0,
-            outputs=args.out if args.out is not None else ".",
-            estimators=tuple(args.estimators.split(",")),
-        )
+        unset = [name for name in _EXPERIMENT + ("seed", "out") if getattr(args, name) is None]
+        vars(args).update({name: _FLAGS[name]["default"] for name in unset})
+        doc = {
+            "params": _params_from(args).as_dict(),
+            "problem": _problem_doc(args),
+            "horizons": [args.T],
+            "replications": args.replications,
+            "delta": args.delta,
+            "checkpoints": [float(v) for v in args.checkpoints.split(",")],
+            "estimators": args.estimators.split(","),
+        }
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.out is not None:
+        doc["outputs"] = args.out
+    config = ExperimentConfig.from_dict(doc)
     report = run_monte_carlo(config)
     paths = export(report, config.outputs or ".")
     for cell in report.cells:
@@ -284,6 +285,24 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+# name: (help, handler, flags). A subcommand that takes --config defaults
+# its other flags to None, so that one given alongside the file is detected.
+_COMMANDS = {
+    "simulate": ("generate a trajectory CSV", _cmd_simulate, _MODEL + ("T", "seed", "no-hidden", "out")),
+    "filter": ("run the stationary (or derivative) filter", _cmd_filter, _INPUT + ("wrt", "out")),
+    "mme": ("method-of-moments estimate", _cmd_mme, _INPUT + _PROBLEM),
+    "onestep": ("one-step MLE process", _cmd_onestep, _INPUT + _PROBLEM + ("delta", "out")),
+    "mle": ("maximum-likelihood estimate", _cmd_mle, _INPUT + _PROBLEM),
+    "bayes": ("posterior-mean estimate", _cmd_bayes, _INPUT + _PROBLEM + ("grid-size",)),
+    "adaptive": ("adaptive Kalman filter", _cmd_adaptive, _INPUT + _PROBLEM + ("delta", "out")),
+    "montecarlo": (
+        "Monte Carlo verification experiment",
+        _cmd_montecarlo,
+        ("config",) + _EXPERIMENT + ("seed", "out"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hidden-ar",
@@ -291,74 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         "for a partially observed AR(1) process.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a trajectory CSV")
-    _add_param_flags(p)
-    p.add_argument("--T", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-hidden", action="store_true", help="drop the hidden state column")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("filter", help="run the stationary (or derivative) filter")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--wrt", default=None, choices=["f", "b", "a"], help="add a derivative track")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("mme", help="method-of-moments estimate")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    _add_problem_flags(p)
-    p.set_defaults(func=_cmd_mme)
-
-    p = sub.add_parser("onestep", help="one-step MLE process")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    _add_problem_flags(p)
-    p.add_argument("--delta", type=float, default=0.6)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_onestep)
-
-    p = sub.add_parser("mle", help="maximum-likelihood estimate")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    _add_problem_flags(p)
-    p.set_defaults(func=_cmd_mle)
-
-    p = sub.add_parser("bayes", help="posterior-mean estimate")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    _add_problem_flags(p)
-    p.add_argument("--grid-size", type=int, default=512)
-    p.set_defaults(func=_cmd_bayes)
-
-    p = sub.add_parser("adaptive", help="adaptive Kalman filter")
-    _add_param_flags(p)
-    _add_data_flags(p)
-    _add_problem_flags(p)
-    p.add_argument("--delta", type=float, default=0.6)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_adaptive)
-
-    p = sub.add_parser("montecarlo", help="Monte Carlo verification experiment")
-    p.add_argument("--config", default=None, help="JSON file mirroring ExperimentConfig")
-    _add_param_flags(p)
-    p.add_argument("--T", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
-    _add_problem_flags(p)
-    p.add_argument("--delta", type=float, default=0.6)
-    p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--checkpoints", default="0.5,1.0")
-    p.add_argument("--estimators", default="onestep,adaptive")
-    p.add_argument("--out", default=None, help="output directory (default: the config's outputs, else .)")
-    # The experiment flags describe the experiment only in an inline run:
-    # they default to None so that one given with --config is detected.
-    inline = "a b f sigma2 T unknown bounds delta replications checkpoints estimators".split()
-    p.set_defaults(func=_cmd_montecarlo, inline_defaults={name: p.get_default(name) for name in inline})
-    p.set_defaults(**dict.fromkeys(inline))
-
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=handler)
+        if "config" in flags:
+            p.set_defaults(**dict.fromkeys(flag.replace("-", "_") for flag in flags))
     return parser
 
 

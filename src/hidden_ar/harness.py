@@ -66,7 +66,11 @@ _ON_PREFIX = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full Monte Carlo experiment description."""
+    """A full Monte Carlo experiment description, checked when built.
+
+    ``outputs`` is a directory path (a str or an os.PathLike, stored as a
+    str) or None; horizons, checkpoints and estimators hold no repeats.
+    """
 
     params: ModelParams
     problem: ParamProblem
@@ -86,6 +90,15 @@ class ExperimentConfig:
         object.__setattr__(self, "checkpoints", tuple(float(v) for v in self.checkpoints))
         object.__setattr__(self, "seed", as_whole("seed", self.seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if self.outputs is not None:
+            outputs = os.fspath(self.outputs) if isinstance(self.outputs, os.PathLike) else self.outputs
+            if not isinstance(outputs, str):
+                raise ValueError(f"outputs must be a directory path or None, got {self.outputs!r}")
+            object.__setattr__(self, "outputs", outputs)
+        for name in ("horizons", "checkpoints", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values}")
         if not self.horizons:
             raise ValueError("need at least one horizon")
         if any(t < 1 for t in self.horizons):

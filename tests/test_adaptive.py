@@ -123,11 +123,12 @@ class TestSStarLimit:
         assert got == pytest.approx(REF_VALUES["s_star_sq"], abs=1e-14)
         assert got == pytest.approx(2.0 / 9.0, abs=1e-14)
 
-    def test_other_coordinates_positive(self):
-        assert s_star_limit(REF, ("f",)) > 0.0
-        assert s_star_limit(REF, ("a",)) > 0.0
-
     def test_unsupported(self):
+        # The formula omits the m-driven term of the f and a derivative tracks.
+        with pytest.raises(UnsupportedSet):
+            s_star_limit(REF, ("f",))
+        with pytest.raises(UnsupportedSet):
+            s_star_limit(REF, ("a",))
         with pytest.raises(UnsupportedSet):
             s_star_limit(REF, ("f", "a"))
         with pytest.raises(UnsupportedSet):

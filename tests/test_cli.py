@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, files, and exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import hidden_ar.adaptive as adaptive_mod
-from hidden_ar.cli import main
+from hidden_ar.cli import build_parser, main
 
 from conftest import REF_VALUES, write_series_csv
 
@@ -17,6 +18,40 @@ def run_cli(capsys, argv):
     out = capsys.readouterr()
     lines = [json.loads(line) for line in out.out.splitlines() if line.strip()]
     return code, lines, out.err
+
+
+_MODEL = {"--a", "--b", "--f", "--sigma2"}
+_INPUT = _MODEL | {"--T", "--seed", "--data"}
+_PROBLEM = {"--unknown", "--bounds"}
+
+
+class TestParser:
+    # mme, mle and bayes print and write nothing, so take no --out;
+    # simulate and montecarlo always simulate, so take no --data.
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("simulate", _MODEL | {"--T", "--seed", "--no-hidden", "--out"}),
+            ("filter", _INPUT | {"--wrt", "--out"}),
+            ("mme", _INPUT | _PROBLEM),
+            ("onestep", _INPUT | _PROBLEM | {"--delta", "--out"}),
+            ("mle", _INPUT | _PROBLEM),
+            ("bayes", _INPUT | _PROBLEM | {"--grid-size"}),
+            ("adaptive", _INPUT | _PROBLEM | {"--delta", "--out"}),
+            (
+                "montecarlo",
+                _MODEL
+                | _PROBLEM
+                | {"--config", "--T", "--seed", "--out"}
+                | {"--delta", "--replications", "--checkpoints", "--estimators"},
+            ),
+        ],
+    )
+    def test_options(self, command, options):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = commands.choices[command]
+        got = {flag for action in parser._actions for flag in action.option_strings}
+        assert got - {"-h", "--help"} == options
 
 
 class TestSimulate:
@@ -248,6 +283,25 @@ class TestMonteCarlo:
             "adaptive:m",
             "adaptive:y",
         }
+
+    def test_inline_defaults_without_out(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, lines, _ = run_cli(capsys, ["montecarlo", "--T", "300", "--replications", "2"])
+        assert code == 0
+        assert lines[-1]["written"] == ["./report.csv", "./report.json"]
+        with open(tmp_path / "report.json") as fh:
+            config = json.load(fh)["config"]
+        assert config["outputs"] == "."
+        assert config["seed"] == 0
+
+    def test_config_file_bad_outputs_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open("config.json", "w") as fh:
+            json.dump(dict(_SMALL_CONFIG, outputs=5), fh)
+        code, _, err = run_cli(capsys, ["montecarlo", "--config", "config.json"])
+        assert code == 2
+        assert "outputs must be a directory path" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_config_file_with_seed_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"

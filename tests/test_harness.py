@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -124,9 +126,17 @@ class TestConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"estimators": ()},
+            # Repeated entries would pool duplicated or foreign rows into one cell.
+            {"horizons": (400, 400)},
+            {"checkpoints": (1.0, 1)},
+            {"estimators": ("onestep", "onestep")},
+            # outputs is a directory path or None.
+            {"outputs": 5},
+            {"outputs": b"out"},
         ):
             with pytest.raises(ValueError):
                 small_config(**bad)
+        assert small_config(outputs=pathlib.Path("runs") / "a").outputs == os.path.join("runs", "a")
         coerced = small_config(horizons=(400.0,), replications=np.int64(3), seed=2.0)
         assert coerced.horizons == (400,) and type(coerced.horizons[0]) is int
         assert type(coerced.replications) is int and type(coerced.seed) is int
