@@ -14,6 +14,8 @@ from hidden_ar import (
     one_step_scalar,
     s_star_limit,
     simulate,
+    stationary,
+    stationary_gradient,
 )
 from hidden_ar.cli import main
 
@@ -122,6 +124,26 @@ class TestSStarLimit:
         got = s_star_limit(REF, ("b",))
         assert got == pytest.approx(REF_VALUES["s_star_sq"], abs=1e-14)
         assert got == pytest.approx(2.0 / 9.0, abs=1e-14)
+
+    def test_other_coordinates_positive(self):
+        # The formula keeps only the innovation-driven part of the derivative
+        # track; its m-driven coefficient Adot + f*edot is 0 for b but has a
+        # positive size for f (-e) and a (1), so those sets are rejected.
+        rng = np.random.default_rng(121)
+        for params in [REF] + [random_params(rng) for _ in range(20)]:
+            sq = stationary(params)
+            m_term = {}
+            for wrt in ("b", "f", "a"):
+                grad = stationary_gradient(params, wrt)
+                m_term[wrt] = grad.d_a_coef + params.f * grad.d_gain
+            assert m_term["b"] == pytest.approx(0.0, abs=1e-12)
+            assert abs(m_term["f"]) > 0.0
+            assert m_term["f"] == pytest.approx(-sq.gain, rel=1e-9, abs=1e-12)
+            assert abs(m_term["a"]) > 0.0
+            assert m_term["a"] == pytest.approx(1.0, rel=1e-9)
+            for unknown in (("f",), ("a",)):
+                with pytest.raises(UnsupportedSet):
+                    s_star_limit(params, unknown)
 
     def test_unsupported(self):
         # The formula omits the m-driven term of the f and a derivative tracks.
