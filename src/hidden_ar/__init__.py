@@ -25,26 +25,19 @@ from .kalman import FilterTrace, filter_derivative, filter_stationary, filter_tr
 from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
 from .model_core import (
     COORDINATES,
-    FisherInfo,
     ModelParams,
     ParamProblem,
     StationaryGradient,
     StationaryQuantities,
     fisher_info,
     riccati_map,
-    scalar_fisher,
     stationary,
     stationary_from,
     stationary_gradient,
     validate,
 )
 from .moments import MmeEstimate, MomentStats, mme, phi, s_statistics
-from .onestep import (
-    EstimatorTrace,
-    learning_interval,
-    one_step_pair,
-    one_step_scalar,
-)
+from .onestep import EstimatorTrace, learning_interval, one_step
 from .simulator import Trajectory, simulate
 
 __version__ = "0.1.0"
@@ -57,7 +50,6 @@ __all__ = [
     "EstimatorTrace",
     "ExperimentConfig",
     "FilterTrace",
-    "FisherInfo",
     "FisherSingular",
     "FlatLikelihood",
     "ForbiddenPair",
@@ -91,15 +83,13 @@ __all__ = [
     "log_likelihood",
     "mle",
     "mme",
-    "one_step_pair",
-    "one_step_scalar",
+    "one_step",
     "phi",
     "riccati_map",
     "run_monte_carlo",
     "run_replication",
     "s_star_limit",
     "s_statistics",
-    "scalar_fisher",
     "simulate",
     "stationary",
     "stationary_from",

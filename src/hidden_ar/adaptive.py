@@ -31,16 +31,15 @@ import numpy as np
 from .errors import MismatchedLengths, UnsupportedSet, as_series
 from .kalman import filter_stationary
 from .model_core import (
-    INFORMATION_SETS,
     ModelParams,
     ParamProblem,
-    scalar_fisher,
+    fisher_info,
     stationary,
     stationary_from,
     stationary_gradient,
     validate,
 )
-from .onestep import EstimatorTrace, learning_interval, one_step_pair, one_step_scalar
+from .onestep import EstimatorTrace, learning_interval, one_step
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,6 @@ class AdaptiveTrace:
         return float(self.m_star[t - self.tau - 1])
 
 
-def _fit_track(x: np.ndarray, problem: ParamProblem, delta: float) -> EstimatorTrace:
-    if problem.unknown not in INFORMATION_SETS:
-        raise UnsupportedSet(f"the one-step process supports {INFORMATION_SETS}, got {problem.unknown}")
-    fit = one_step_scalar if problem.dim == 1 else one_step_pair
-    return fit(x, problem, delta)
-
-
 def adaptive_filter(
     x,
     problem: ParamProblem,
@@ -118,7 +110,7 @@ def adaptive_filter(
         track = None
     else:
         if track is None:
-            track = _fit_track(x, problem, delta)
+            track = one_step(x, problem, delta)
         if track.horizon != horizon:
             raise MismatchedLengths(
                 f"estimator track covers T={track.horizon}, observations give T={horizon}"
@@ -166,7 +158,7 @@ def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
         raise UnsupportedSet(f"s_star_limit supports ('b',); got {unknown!r}")
     sq = stationary(params)
     grad = stationary_gradient(params, "b")
-    info = scalar_fisher(params, "b")
+    info = float(fisher_info(params, unknown)[0, 0])
     return grad.d_b_coef * grad.d_b_coef / (info * (1.0 - sq.a_coef * sq.a_coef))
 
 

@@ -24,13 +24,14 @@ import sys
 
 import numpy as np
 
-from .adaptive import _fit_track, adaptive_filter, error_report, s_star_limit
-from .errors import HiddenArError, as_series
+from .adaptive import adaptive_filter, error_report, s_star_limit
+from .errors import HiddenArError, UnsupportedSet, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo, write_columns
 from .kalman import filter_derivative, filter_stationary
 from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
 from .model_core import ModelParams, ParamProblem, validate
 from .moments import mme
+from .onestep import one_step
 from .simulator import simulate
 
 _DEFAULT_BOUNDS = {
@@ -181,7 +182,7 @@ def _cmd_mme(args) -> int:
 
 def _cmd_onestep(args) -> int:
     _, problem, x = _inputs(args)
-    trace = _fit_track(x, problem, args.delta)
+    trace = one_step(x, problem, args.delta)
     columns = {
         "t": trace.t_grid.tolist(),
         **{f"theta_{j + 1}": col for j, col in enumerate(trace.path.T.tolist())},
@@ -236,8 +237,10 @@ def _cmd_adaptive(args) -> int:
         summary["normalized_filter_error"] = row["filter_error"]
         summary["normalized_estimator_error"] = row["estimator_error"]
     summary["written"] = _write(args.out, "adaptive.csv", columns)
-    if problem.unknown == ("b",):
+    try:
         summary["s_star_limit"] = s_star_limit(params, problem.unknown)
+    except UnsupportedSet:
+        pass
     _print(summary)
     return 0
 
@@ -249,6 +252,8 @@ def _cmd_montecarlo(args) -> int:
             raise ValueError(f"--{given[0]} cannot be combined with --config; set it in the config file")
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, got {doc!r}")
     else:
         unset = [name for name in _EXPERIMENT + ("seed", "out") if getattr(args, name) is None]
         vars(args).update({name: _FLAGS[name]["default"] for name in unset})

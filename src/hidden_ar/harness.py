@@ -24,12 +24,12 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .adaptive import _fit_track, adaptive_filter, s_star_limit
+from .adaptive import adaptive_filter, s_star_limit
 from .errors import FisherSingular, UnsupportedSet, as_whole
 from .likelihood import PosteriorSpec, bayes, mle
 from .model_core import INFORMATION_SETS, ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
-from .onestep import learning_interval
+from .onestep import learning_interval, one_step
 from .simulator import simulate
 
 
@@ -83,6 +83,9 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("onestep", "adaptive")
 
     def __post_init__(self):
+        for name in ("horizons", "checkpoints", "estimators"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "problem", validate(self.params, self.problem))
         object.__setattr__(self, "horizons", tuple(as_whole("horizons", t) for t in self.horizons))
         object.__setattr__(self, "replications", as_whole("replications", self.replications))
@@ -148,12 +151,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ExperimentConfig":
-        unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+        """Build from a JSON-style document; a missing, unknown or
+        wrongly typed field raises ValueError naming it."""
+        fields = dataclasses.fields(cls)
+        unknown = set(obj) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)}")
-        params = ModelParams(**obj["params"])
-        problem = ParamProblem(**obj["problem"])
-        return cls(**dict(obj, params=params, problem=problem))
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in obj]
+        if missing:
+            raise ValueError(f"missing config fields {missing}")
+        built = {}
+        for name, kind in (("params", ModelParams), ("problem", ParamProblem)):
+            if not isinstance(obj[name], dict):
+                raise ValueError(f"{name} must be an object, got {obj[name]!r}")
+            try:
+                built[name] = kind(**obj[name])
+            except TypeError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return cls(**dict(obj, **built))
 
 
 @dataclass(frozen=True)
@@ -219,7 +234,7 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
 
     track = None
     if "onestep" in config.estimators or "adaptive" in config.estimators:
-        track = _fit_track(x, problem, config.delta)
+        track = one_step(x, problem, config.delta)
 
     for name in config.estimators:
         if name == "adaptive":
@@ -246,9 +261,9 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     problem = config.problem
     out: dict[tuple[str, str], float | None] = {}
     try:
-        info = fisher_info(config.params, problem)
+        inv_diagonal = np.linalg.inv(fisher_info(config.params, problem.unknown)).diagonal().tolist()
     except (UnsupportedSet, FisherSingular):
-        info = None
+        inv_diagonal = [None] * problem.dim
     for name in config.estimators:
         if name == "adaptive":
             try:
@@ -257,9 +272,8 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
                 out[(name, "m")] = None
             continue
         # mme is consistent but not efficient: it has no target.
-        efficient = info is not None and name != "mme"
-        for coord in problem.unknown:
-            out[(name, coord)] = info.inverse_diagonal(coord) if efficient else None
+        for coord, target in zip(problem.unknown, inv_diagonal):
+            out[(name, coord)] = None if name == "mme" else target
     return out
 
 

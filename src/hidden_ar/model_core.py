@@ -18,13 +18,14 @@ A = a * sigma2 / P and e = a * f * gamma_star / P, and the innovation
 coefficient B = a * Gamma / sqrt(P) with Gamma = f^2 * gamma_star.
 
 Parameter derivatives come from implicit differentiation of the quadratic,
-never from finite differences. The Fisher information for any unknown set
-drawn from {b, f, a} is one formula,
+never from finite differences. fisher_info returns the Fisher information
+of every unknown set in INFORMATION_SETS ({b}, {f}, {a}, {f, a}) as one
+(dim, dim) array, from one formula,
 
     I_ij = (C_ij + Pdot_i * Pdot_j / (2P)) / P,   C = E[Mdot Mdot^T],
 
 with Mdot_i the derivative of the prediction f*m_t in coordinate i and C
-its stationary second moments (derivation in _information).
+its stationary second moments (derivation in fisher_info).
 """
 
 from __future__ import annotations
@@ -385,29 +386,10 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
 INFORMATION_SETS = (("f",), ("b",), ("a",), ("f", "a"))
 
 
-@dataclass(frozen=True, eq=False)
-class FisherInfo:
-    """Fisher information matrix of shape (dim, dim) for a supported unknown
-    set, rows and columns in the coordinate order of ``unknown``."""
-
-    unknown: tuple[str, ...]
-    matrix: np.ndarray
-
-    def inverse(self) -> np.ndarray:
-        """The inverse matrix I^{-1}, shape (dim, dim)."""
-        return np.linalg.inv(self.matrix)
-
-    def inverse_diagonal(self, coord: str) -> float:
-        """The asymptotic variance bound for one coordinate."""
-        if coord not in self.unknown:
-            raise UnsupportedCoordinate(f"{coord!r} is not in the unknown set {self.unknown}")
-        j = self.unknown.index(coord)
-        return float(self.inverse()[j, j])
-
-
-def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
-    """Fisher information matrix per observation for coords drawn from
-    {b, f, a}.
+def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
+    """Fisher information matrix per observation at ``params``, shape
+    (dim, dim), rows and columns in the order of ``unknown``, which must be
+    one of INFORMATION_SETS (else UnsupportedSet).
 
     M_t = f*m_t satisfies M_t = a*M_{t-1} + B*z_t at the true point, with z
     the standardized innovations. Differentiating the observed-form filter in
@@ -438,6 +420,11 @@ def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
     det/trace^2 >= 1e-12 (positive definite, condition number below about
     1e12) for the pair.
     """
+    if unknown not in INFORMATION_SETS:
+        raise UnsupportedSet(
+            f"Fisher information is not available for the unknown set {unknown}; "
+            f"supported sets are {INFORMATION_SETS}"
+        )
     sq = stationary(params)
     a, s2 = params.a, params.sigma2
     A, B, p = sq.a_coef, sq.b_coef, sq.p
@@ -447,7 +434,7 @@ def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
     g = sq.big_gamma / math.sqrt(p)  # the [i = a] part of Bdot_i
     mu = B * B / (1.0 - a * a)  # E[M^2]
     d_p, is_a, own = [], [], []
-    for coord in coords:
+    for coord in unknown:
         dp = stationary_gradient(params, coord).d_p
         ind = 1.0 if coord == "a" else 0.0
         beta = a * s2 * dp / p32
@@ -456,7 +443,7 @@ def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
         is_a.append(ind)
         own.append(A * w + beta * g)  # what [j = a] multiplies in row i of C*(1 - A^2)
     rest_scale = p * (1.0 - A * A)
-    n = range(len(coords))
+    n = range(len(unknown))
     matrix = np.array([
         [
             d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4))
@@ -467,25 +454,6 @@ def _information(params: ModelParams, coords: tuple[str, ...]) -> np.ndarray:
     ])
     trace = float(np.trace(matrix))
     det = float(np.linalg.det(matrix))
-    if not (trace > 0.0 and det >= 1e-12 * trace ** (2 * len(coords) - 2)):
-        raise FisherSingular(f"information for {coords} is singular or near-singular: {matrix.tolist()}")
+    if not (trace > 0.0 and det >= 1e-12 * trace ** (2 * len(unknown) - 2)):
+        raise FisherSingular(f"information for {unknown} is singular or near-singular: {matrix.tolist()}")
     return matrix
-
-
-def scalar_fisher(params: ModelParams, coord: str) -> float:
-    """Fisher information for one unknown coordinate in {b, f, a}, the entry
-    of its 1x1 information matrix."""
-    if (coord,) not in INFORMATION_SETS:
-        raise UnsupportedCoordinate(f"no Fisher information for coordinate {coord!r}")
-    return float(_information(params, (coord,))[0, 0])
-
-
-def fisher_info(params: ModelParams, problem: ParamProblem) -> FisherInfo:
-    """Fisher information at ``params`` for the problem's unknown set, one of
-    INFORMATION_SETS (formula and singularity rule: see _information)."""
-    if problem.unknown not in INFORMATION_SETS:
-        raise UnsupportedSet(
-            f"Fisher information is not available for the unknown set {problem.unknown}; "
-            f"supported sets are {INFORMATION_SETS}"
-        )
-    return FisherInfo(unknown=problem.unknown, matrix=_information(params, problem.unknown))

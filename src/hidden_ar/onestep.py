@@ -1,6 +1,8 @@
 """One-step maximum-likelihood estimator process.
 
-Pipeline: a preliminary method-of-moments estimate, then a single Fisher
+one_step fits it for every unknown set that has a Fisher information
+(model_core.INFORMATION_SETS: {b}, {f}, {a} and the pair (f, a)). The
+pipeline is a preliminary method-of-moments estimate, then a single Fisher
 scoring correction applied as a process in the upper time index,
 
     theta*_{t,T} = prelim + [I(prelim) (t - tau)]^{-1}
@@ -27,12 +29,12 @@ for a is still visible, and the ratio nears 1 only at longer horizons
 correction sum starts. Every emitted point is clipped into the
 closed bounds box.
 
-Both an O(T) batch evaluation (cumulative sums) and the algebraically
-identical recurrent update
+one_step's method selects an O(T) batch evaluation (cumulative sums) or
+the algebraically identical recurrent update
 
-    u_t = u_{t-1} + ((t - tau))^{-1} (I^{-1} g_t - u_{t-1})
+    u_t = u_{t-1} + ((t - tau))^{-1} (I^{-1} g_t - u_{t-1});
 
-are provided; they agree to machine rounding and serve as mutual oracles.
+the two agree to machine rounding and serve as mutual oracles.
 """
 
 from __future__ import annotations
@@ -130,7 +132,18 @@ def _score_increments(
     return out
 
 
-def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> EstimatorTrace:
+def one_step(
+    x, problem: ParamProblem, delta: float = 0.6, method: str = "batch", prelim=None
+) -> EstimatorTrace:
+    """One-step MLE process for an unknown set in INFORMATION_SETS ({b}, {f},
+    {a} or the pair (f, a)); any other set raises UnsupportedSet.
+
+    method is "batch" (cumulative sums) or "recurrent" (the running update).
+    prelim, when given, replaces the moment preliminary with explicit values
+    in canonical coordinate order (clipped into bounds; NaN or inf raises
+    ValueError); useful for crafted scenarios and for studying the
+    correction in isolation.
+    """
     if method not in ("batch", "recurrent"):
         raise ValueError(f"method must be 'batch' or 'recurrent', got {method!r}")
     x = as_series(x, 2)
@@ -146,7 +159,7 @@ def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> Es
             raise ValueError(f"need a finite preliminary, got {prelim.tolist()}")
         prelim_values, _ = problem.clip(prelim)
     params_tau = problem.point(prelim_values)
-    inv = fisher_info(params_tau, problem).inverse()
+    inv = np.linalg.inv(fisher_info(params_tau, problem.unknown))
 
     g = _score_increments(params_tau, x, tau, problem.unknown)
     steps = np.arange(1, len(g) + 1, dtype=float)  # t - tau for t = tau+1..T
@@ -171,30 +184,3 @@ def _one_step(x, problem: ParamProblem, delta: float, method: str, prelim) -> Es
         problem=problem,
         prelim_estimate=prelim_est,
     )
-
-
-def one_step_scalar(
-    x, problem: ParamProblem, delta: float = 0.6, method: str = "batch", prelim=None
-) -> EstimatorTrace:
-    """One-step MLE process for a scalar unknown in {b}, {f}, {a}.
-
-    prelim, when given, replaces the moment preliminary with an explicit
-    value (clipped into bounds; NaN or inf raises ValueError); useful for
-    crafted scenarios and for studying the correction in isolation.
-    """
-    if problem.dim != 1:
-        raise ValueError(f"one_step_scalar needs a scalar unknown, got {problem.unknown}")
-    return _one_step(x, problem, delta, method, prelim)
-
-
-def one_step_pair(
-    x, problem: ParamProblem, delta: float = 0.6, method: str = "batch", prelim=None
-) -> EstimatorTrace:
-    """One-step MLE process for the pair (f, a) with the 2x2 information.
-
-    prelim, when given, replaces the moment preliminary with an explicit
-    pair of values (clipped into bounds; NaN or inf raises ValueError).
-    """
-    if problem.unknown != ("f", "a"):
-        raise ValueError(f"one_step_pair needs unknown=(f, a), got {problem.unknown}")
-    return _one_step(x, problem, delta, method, prelim)

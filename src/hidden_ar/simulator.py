@@ -41,11 +41,11 @@ class Trajectory:
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    for name, value in (("seed", seed), ("stream", stream)):
+    key = [as_whole("seed", seed), as_whole("stream", stream)]
+    for name, value in zip(("seed", "stream"), key):
         if not 0 <= value < 2**64:
             raise InvalidSeed(f"{name} must lie in [0, 2**64), got {value}")
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def simulate(
@@ -61,7 +61,7 @@ def simulate(
     (stationary scale for Y_{-1}, w_0..w_T, v_0..v_T). keep_hidden only
     controls whether y is retained, never what is drawn, so x is identical
     either way. A seed or stream outside [0, 2**64) raises InvalidSeed; a
-    boolean or non-integral horizon raises ValueError.
+    boolean or non-integral horizon, seed or stream raises ValueError.
     """
     horizon = as_whole("horizon", horizon)
     if horizon < 1:

@@ -25,12 +25,11 @@ from hidden_ar.model_core import (
     ModelParams,
     ParamProblem,
     fisher_info,
-    scalar_fisher,
     stationary,
     stationary_gradient,
 )
 from hidden_ar.moments import MomentStats, _invert, phi
-from hidden_ar.onestep import _score_increments, one_step_pair, one_step_scalar
+from hidden_ar.onestep import _score_increments, one_step
 from hidden_ar.simulator import simulate
 
 import conftest
@@ -247,10 +246,10 @@ def test_criterion_06_fisher_identity():
         for r in range(reps):
             x = simulate(REF, horizon, 4, stream=r).x
             scores[r] = _score_increments(REF, x, 0, ("b", "f", "a")).sum(axis=0)
-        targets = np.array([scalar_fisher(REF, c) for c in ("b", "f", "a")])
+        targets = np.array([fisher_info(REF, (c,))[0, 0] for c in ("b", "f", "a")])
         scalar_rel = np.abs(scores.var(axis=0, ddof=1) / horizon / targets - 1.0)
         pair_cov = np.cov(scores[:, 1:].T) / horizon
-        pair_info = fisher_info(REF, PROB_FA).matrix
+        pair_info = fisher_info(REF, PROB_FA.unknown)
         pair_rel = float(np.abs(pair_cov / pair_info - 1.0).max())
         assert float(scalar_rel.max()) < 0.05
         assert pair_rel < 0.10
@@ -357,9 +356,8 @@ def test_criterion_10_batch_recurrent_and_reduction():
         for i, (params, unknown, horizon) in enumerate(cases):
             problem = problem_for(params, unknown)
             x = simulate(params, horizon, 23, stream=i).x
-            fit = one_step_pair if len(unknown) == 2 else one_step_scalar
-            batch = fit(x, problem, method="batch")
-            recurrent = fit(x, problem, method="recurrent")
+            batch = one_step(x, problem, method="batch")
+            recurrent = one_step(x, problem, method="recurrent")
             diff = float(np.max(np.abs(batch.path - recurrent.path)))
             worst = max(worst, diff)
             assert diff < 1e-10

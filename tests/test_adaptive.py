@@ -11,7 +11,7 @@ from hidden_ar import (
     adaptive_filter,
     error_report,
     filter_stationary,
-    one_step_scalar,
+    one_step,
     s_star_limit,
     simulate,
     stationary,
@@ -48,7 +48,7 @@ class TestOracleReduction:
 class TestAdaptiveRun:
     def test_track_reuse_and_plug_layout(self, problem_b):
         x = simulate(REF, 2000, seed=83).x
-        track = one_step_scalar(x, problem_b)
+        track = one_step(x, problem_b)
         trace = adaptive_filter(x, problem_b, track=track, truth=REF)
         tau = track.tau
         assert trace.tau == tau
@@ -64,18 +64,18 @@ class TestAdaptiveRun:
     def test_fits_track_when_missing(self, problem_b):
         x = simulate(REF, 2000, seed=83).x
         auto = adaptive_filter(x, problem_b)
-        manual = adaptive_filter(x, problem_b, track=one_step_scalar(x, problem_b))
+        manual = adaptive_filter(x, problem_b, track=one_step(x, problem_b))
         assert np.array_equal(auto.m_star, manual.m_star)
 
     def test_mismatched_track_rejected(self, problem_b):
         x = simulate(REF, 2000, seed=84).x
-        short_track = one_step_scalar(x[:1501], problem_b)
+        short_track = one_step(x[:1501], problem_b)
         with pytest.raises(MismatchedLengths):
             adaptive_filter(x, problem_b, track=short_track)
 
     def test_track_for_another_problem_rejected(self, problem_b, problem_f):
         x = simulate(REF, 2000, seed=86).x
-        track_f = one_step_scalar(x, problem_f)
+        track_f = one_step(x, problem_f)
         with pytest.raises(ValueError, match="fitted for"):
             adaptive_filter(x, problem_b, track=track_f)
 

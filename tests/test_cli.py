@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-import hidden_ar.adaptive as adaptive_mod
+import hidden_ar.harness as harness_mod
 from hidden_ar.cli import build_parser, main
 
 from conftest import REF_VALUES, write_series_csv
@@ -222,6 +222,15 @@ class TestEstimators:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["onestep", "adaptive"])
+    def test_set_without_information_exit_2(self, capsys, tmp_path, command):
+        code, _, err = run_cli(
+            capsys, [command, "--T", "500", "--unknown", "sigma2", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "Fisher information is not available" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestAdaptive:
     def test_simulated_run_reports_errors(self, capsys, tmp_path):
@@ -247,6 +256,13 @@ class TestAdaptive:
         )
         assert code == 0
         assert "normalized_filter_error" not in lines[-1]
+
+    def test_no_s_star_limit_outside_b(self, capsys, tmp_path):
+        code, lines, _ = run_cli(
+            capsys, ["adaptive", "--T", "600", "--unknown", "a", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert lines[-1]["s_star_limit"] is None
 
 
 _SMALL_CONFIG = {
@@ -301,6 +317,25 @@ class TestMonteCarlo:
         code, _, err = run_cli(capsys, ["montecarlo", "--config", "config.json"])
         assert code == 2
         assert "outputs must be a directory path" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({k: v for k, v in _SMALL_CONFIG.items() if k != "params"}, "missing config fields ['params']"),
+            (dict(_SMALL_CONFIG, horizons=300), "horizons must be a list"),
+            (dict(_SMALL_CONFIG, problem=["b"]), "problem must be an object"),
+            (dict(_SMALL_CONFIG, estimators="mme"), "estimators must be a list"),
+            ([_SMALL_CONFIG], "must hold a JSON object"),
+        ],
+    )
+    def test_config_file_bad_field_exit_2(self, capsys, tmp_path, doc, message):
+        cfg_path = tmp_path / "config.json"
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run_cli(capsys, ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        assert message in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_config_file_with_seed_override(self, capsys, tmp_path):
@@ -408,7 +443,7 @@ class TestMonteCarlo:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(adaptive_mod, "one_step_scalar", broken)
+        monkeypatch.setattr(harness_mod, "one_step", broken)
         code, _, err = run_cli(
             capsys,
             ["montecarlo", "--T", "300", "--replications", "2", "--out", str(tmp_path)],

@@ -20,7 +20,7 @@ from hidden_ar import (
     s_star_limit,
     stationary,
 )
-import hidden_ar.adaptive as adaptive_mod
+import hidden_ar.harness as harness_mod
 from hidden_ar.harness import write_columns
 
 from conftest import REF
@@ -52,11 +52,23 @@ class TestConfig:
 
     def test_from_dict_checks_fields(self):
         doc = small_config().to_dict()
-        for key, value in (("replications", 2.5), ("horizons", [400.7]), ("seed", True)):
-            with pytest.raises(ValueError):
+        for key, value in (
+            ("replications", 2.5),
+            ("horizons", [400.7]),
+            ("seed", True),
+            ("horizons", 300),
+            ("problem", ["b"]),
+            ("params", {"a": 0.5}),
+            ("estimators", "mme"),
+        ):
+            with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_dict(dict(doc, **{key: value}))
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict(dict(doc, replicas=3))
+        for key in ("params", "problem", "horizons", "replications"):
+            partial = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(ValueError, match=f"missing config fields \\['{key}'\\]"):
+                ExperimentConfig.from_dict(partial)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,10 +229,10 @@ class TestAggregation:
         assert cell["norm_risk"] == pytest.approx(
             400 * float((centered * centered).mean()), rel=1e-12
         )
-        info = fisher_info(REF, config.problem)
-        assert cell["target"] == pytest.approx(info.inverse(), rel=1e-12)
+        inverse = np.linalg.inv(fisher_info(REF, config.problem.unknown))
+        assert cell["target"] == pytest.approx(inverse, rel=1e-12)
         assert cell["ratio"] == pytest.approx(
-            400 * cell["var"] / info.inverse(), rel=1e-12
+            400 * cell["var"] / inverse, rel=1e-12
         )
         assert 0.0 <= cell["ks_pvalue"] <= 1.0
 
@@ -281,7 +293,7 @@ class TestAggregation:
         for name in ("mle", "bayes"):
             cell = next(c for c in report.cells if c["estimator"] == name)
             assert cell["target"] == pytest.approx(
-                fisher_info(REF, config.problem).inverse(), rel=1e-12
+                np.linalg.inv(fisher_info(REF, config.problem.unknown)), rel=1e-12
             )
 
     def test_single_replication_var_is_sanitized(self):
@@ -295,7 +307,7 @@ class TestAggregation:
 class TestFailureCapture:
     def test_error_rows_recorded(self, monkeypatch):
         config = small_config(replications=6)
-        real = adaptive_mod.one_step_scalar
+        real = harness_mod.one_step
         target = run_replication(config, 0, 4)[0]["stream"]
 
         def broken(x, problem, delta=0.6, method="batch", prelim=None):
@@ -306,7 +318,7 @@ class TestFailureCapture:
             return real(x, problem, delta, method, prelim)
 
         broken.calls = 0
-        monkeypatch.setattr(adaptive_mod, "one_step_scalar", broken)
+        monkeypatch.setattr(harness_mod, "one_step", broken)
         report = run_monte_carlo(config)
         errors = [r for r in report.replications if r["estimator"] == "error"]
         assert len(errors) == 1

@@ -18,8 +18,7 @@ from hidden_ar import (
     log_likelihood,
     mle,
     mme,
-    one_step_pair,
-    one_step_scalar,
+    one_step,
     simulate,
     stationary,
 )
@@ -36,8 +35,8 @@ SERIES_ENTRY_POINTS = {
     "filter_stationary": lambda x: filter_stationary(REF, x),
     "filter_derivative": lambda x: filter_derivative(REF, x, "b"),
     "mme": lambda x: mme(x, PROBLEM_B),
-    "one_step_scalar": lambda x: one_step_scalar(x, PROBLEM_B),
-    "one_step_pair": lambda x: one_step_pair(x, PROBLEM_FA),
+    "one_step b": lambda x: one_step(x, PROBLEM_B),
+    "one_step f,a": lambda x: one_step(x, PROBLEM_FA),
     "adaptive_filter": lambda x: adaptive_filter(x, PROBLEM_B),
     "log_likelihood": lambda x: log_likelihood(x, REF),
     "mle": lambda x: mle(x, PROBLEM_B),
@@ -62,8 +61,8 @@ NON_FINITE_STARTS = {
     "filter_transient gamma0=nan": lambda x: filter_transient(REF, x, gamma0=np.nan),
     "filter_derivative m0=nan": lambda x: filter_derivative(REF, x, "b", m0=np.nan),
     "filter_derivative dm0=inf": lambda x: filter_derivative(REF, x, "b", dm0=np.inf),
-    "one_step_scalar prelim=nan": lambda x: one_step_scalar(x, PROBLEM_B, prelim=[np.nan]),
-    "one_step_pair prelim=(1, -inf)": lambda x: one_step_pair(x, PROBLEM_FA, prelim=[1.0, -np.inf]),
+    "one_step b prelim=nan": lambda x: one_step(x, PROBLEM_B, prelim=[np.nan]),
+    "one_step f,a prelim=(1, -inf)": lambda x: one_step(x, PROBLEM_FA, prelim=[1.0, -np.inf]),
 }
 
 

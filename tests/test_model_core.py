@@ -17,14 +17,13 @@ from hidden_ar import (
     UnsupportedSet,
     fisher_info,
     riccati_map,
-    scalar_fisher,
     stationary,
     stationary_from,
     stationary_gradient,
     validate,
 )
 
-from conftest import REF, REF_VALUES, problem_for, random_params
+from conftest import REF, REF_VALUES, random_params
 
 
 def riccati_fixed_point(params: ModelParams) -> float:
@@ -301,66 +300,42 @@ class TestStationaryGradient:
 
 
 class TestFisherInfo:
-    def test_reference_values(self, problem_b, problem_f, problem_a, problem_fa):
-        info_b = fisher_info(REF, problem_b)
-        assert_close_rel(info_b.matrix[0, 0], REF_VALUES["info_b"], 1e-13)
-        assert_close_rel(info_b.inverse()[0, 0], REF_VALUES["inv_info_b"], 1e-13)
-        assert_close_rel(
-            info_b.inverse_diagonal("b"), REF_VALUES["inv_info_b"], 1e-13
-        )
-        info_f = fisher_info(REF, problem_f)
-        assert_close_rel(info_f.matrix[0, 0], REF_VALUES["info_b"], 1e-13)  # b=f=1 symmetry
-        info_a = fisher_info(REF, problem_a)
-        assert_close_rel(info_a.matrix[0, 0], REF_VALUES["info_a"], 1e-13)
+    def test_reference_values(self):
+        info_b = fisher_info(REF, ("b",))
+        assert_close_rel(info_b[0, 0], REF_VALUES["info_b"], 1e-13)
+        assert_close_rel(np.linalg.inv(info_b)[0, 0], REF_VALUES["inv_info_b"], 1e-13)
+        info_f = fisher_info(REF, ("f",))
+        assert_close_rel(info_f[0, 0], REF_VALUES["info_b"], 1e-13)  # b=f=1 symmetry
+        info_a = fisher_info(REF, ("a",))
+        assert_close_rel(info_a[0, 0], REF_VALUES["info_a"], 1e-13)
         for info in (info_b, info_f, info_a):
-            assert info.matrix.shape == (1, 1)
-        pair = fisher_info(REF, problem_fa)
-        assert len(pair.unknown) == 2
-        assert pair.matrix.shape == (2, 2)
-        assert_close_rel(pair.matrix[0, 0], REF_VALUES["info_b"], 1e-13)
-        assert_close_rel(pair.matrix[1, 1], REF_VALUES["info_a"], 1e-13)
-        assert_close_rel(pair.matrix[0, 1], REF_VALUES["info_fa_offdiag"], 1e-13)
-        assert pair.matrix[0, 1] == pair.matrix[1, 0]
+            assert info.shape == (1, 1)
+        pair = fisher_info(REF, ("f", "a"))
+        assert pair.shape == (2, 2)
+        assert_close_rel(pair[0, 0], REF_VALUES["info_b"], 1e-13)
+        assert_close_rel(pair[1, 1], REF_VALUES["info_a"], 1e-13)
+        assert_close_rel(pair[0, 1], REF_VALUES["info_fa_offdiag"], 1e-13)
+        assert pair[0, 1] == pair[1, 0]
 
     def test_scalar_matches_matrix_and_helper(self):
         rng = np.random.default_rng(105)
         for _ in range(50):
             params = random_params(rng)
-            pair = fisher_info(params, problem_for(params, ("f", "a")))
-            i_f = fisher_info(params, problem_for(params, "f")).matrix[0, 0]
-            i_a = fisher_info(params, problem_for(params, "a")).matrix[0, 0]
+            pair = fisher_info(params, ("f", "a"))
             # One function computes every entry, so the pair's diagonal is
             # the scalar information bit for bit.
-            assert pair.matrix[0, 0] == i_f
-            assert pair.matrix[1, 1] == i_a
-            assert scalar_fisher(params, "f") == i_f
-            assert scalar_fisher(params, "a") == i_a
+            assert pair[0, 0] == fisher_info(params, ("f",))[0, 0]
+            assert pair[1, 1] == fisher_info(params, ("a",))[0, 0]
             # Positive definiteness.
-            eigs = np.linalg.eigvalsh(pair.matrix)
+            eigs = np.linalg.eigvalsh(pair)
             assert eigs.min() > 0.0
-            inv = pair.inverse()
-            assert_close_rel(inv[0, 0], pair.inverse_diagonal("f"), 1e-12)
-            assert_close_rel(inv[1, 1], pair.inverse_diagonal("a"), 1e-12)
 
     def test_unsupported_sets(self):
-        prob_s = ParamProblem(
-            unknown=("sigma2",),
-            bounds={"sigma2": (0.1, 5.0)},
-            known={"a": 0.5, "b": 1.0, "f": 1.0},
-        )
-        with pytest.raises(UnsupportedSet):
-            fisher_info(REF, prob_s)
-        with pytest.raises(UnsupportedCoordinate):
-            scalar_fisher(REF, "sigma2")
-
-    def test_inverse_diagonal_wrong_coord(self, problem_b, problem_fa):
-        info = fisher_info(REF, problem_b)
-        with pytest.raises(UnsupportedCoordinate):
-            info.inverse_diagonal("f")
-        pair = fisher_info(REF, problem_fa)
-        for coord in ("b", "sigma2"):
-            with pytest.raises(UnsupportedCoordinate):
-                pair.inverse_diagonal(coord)
+        # Sets outside INFORMATION_SETS, including a supported pair given
+        # out of canonical order.
+        for unknown in (("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2"), ("a", "f")):
+            with pytest.raises(UnsupportedSet):
+                fisher_info(REF, unknown)
 
     def test_matches_whittle_spectral_formula(self):
         # Independent oracle: for a stationary Gaussian series with spectral
@@ -383,7 +358,7 @@ class TestFisherInfo:
                 "a": f * f * b * b * (2.0 * cos - 2.0 * a) / (d * d),
             }
             for unknown in (("b",), ("f",), ("a",), ("f", "a")):
-                got = fisher_info(params, problem_for(params, unknown)).matrix
+                got = fisher_info(params, unknown)
                 want = np.array(
                     [[np.mean(d_spec[i] * d_spec[j] / (spec * spec)) / 2.0 for j in unknown] for i in unknown]
                 )
@@ -396,9 +371,8 @@ class TestFisherInfo:
         rng = np.random.default_rng(106)
         for _ in range(50):
             params = random_params(rng)
-            assert scalar_fisher(params, "b") > 0.0
-            assert scalar_fisher(params, "f") > 0.0
-            assert scalar_fisher(params, "a") > 0.0
+            for coord in ("b", "f", "a"):
+                assert fisher_info(params, (coord,))[0, 0] > 0.0
 
     def test_all_coordinates_present(self):
         assert COORDINATES == ("a", "b", "f", "sigma2")

@@ -10,16 +10,16 @@ from hidden_ar import (
     HorizonTooShort,
     ModelParams,
     ParamProblem,
+    UnsupportedSet,
     fisher_info,
     learning_interval,
     mme,
-    one_step_pair,
-    one_step_scalar,
+    one_step,
     simulate,
 )
 from hidden_ar.cli import main
 
-from conftest import REF, REF_VALUES
+from conftest import REF, REF_VALUES, problem_for
 
 
 class TestLearningInterval:
@@ -54,7 +54,7 @@ class TestLearningInterval:
 class TestOneStepScalar:
     def test_recovers_truth(self, problem_b):
         x = simulate(REF, 10000, seed=41).x
-        trace = one_step_scalar(x, problem_b)
+        trace = one_step(x, problem_b)
         assert trace.tau == 251
         assert abs(trace.theta_at(10000)[0] - REF.b) < 0.1
         assert trace.path.shape == (10000 - 251 - 1, 1)
@@ -65,7 +65,7 @@ class TestOneStepScalar:
 
     def test_theta_at_semantics(self, problem_b):
         x = simulate(REF, 1000, seed=42).x
-        trace = one_step_scalar(x, problem_b)
+        trace = one_step(x, problem_b)
         tau = trace.tau
         np.testing.assert_array_equal(trace.theta_at(tau), trace.prelim)
         np.testing.assert_array_equal(trace.theta_at(tau + 1), trace.prelim)
@@ -78,38 +78,33 @@ class TestOneStepScalar:
 
     def test_batch_equals_recurrent(self, problem_b):
         x = simulate(REF, 3000, seed=43).x
-        batch = one_step_scalar(x, problem_b, method="batch")
-        rec = one_step_scalar(x, problem_b, method="recurrent")
+        batch = one_step(x, problem_b, method="batch")
+        rec = one_step(x, problem_b, method="recurrent")
         assert float(np.abs(batch.path - rec.path).max()) < 1e-12
         np.testing.assert_array_equal(batch.clipped, rec.clipped)
 
     def test_invalid_method(self, problem_b):
         x = simulate(REF, 1000, seed=44).x
         with pytest.raises(ValueError):
-            one_step_scalar(x, problem_b, method="online")
-
-    def test_pair_problem_rejected(self, problem_fa):
-        x = simulate(REF, 1000, seed=44).x
-        with pytest.raises(ValueError):
-            one_step_scalar(x, problem_fa)
+            one_step(x, problem_b, method="online")
 
     def test_preliminary_is_full_series_moment_estimate(self, problem_b):
         x = simulate(REF, 2000, seed=45).x
-        trace = one_step_scalar(x, problem_b)
+        trace = one_step(x, problem_b)
         np.testing.assert_array_equal(trace.prelim, mme(x, problem_b).values)
 
     def test_explicit_preliminary(self, problem_b):
         x = simulate(REF, 1000, seed=46).x
-        trace = one_step_scalar(x, problem_b, prelim=[0.9])
+        trace = one_step(x, problem_b, prelim=[0.9])
         assert trace.prelim_estimate is None
         np.testing.assert_array_equal(trace.prelim, np.array([0.9]))
-        clipped = one_step_scalar(x, problem_b, prelim=[99.0])
+        clipped = one_step(x, problem_b, prelim=[99.0])
         np.testing.assert_array_equal(clipped.prelim, np.array([5.0]))
 
     def test_short_series_rejected(self, problem_b):
         x = simulate(REF, 10, seed=47).x
         with pytest.raises(HorizonTooShort):
-            one_step_scalar(x, problem_b)
+            one_step(x, problem_b)
 
     def test_singular_information_rejected(self):
         problem = ParamProblem(
@@ -119,7 +114,7 @@ class TestOneStepScalar:
         )
         x = simulate(REF, 1000, seed=48).x
         with pytest.raises(FisherSingular):
-            one_step_scalar(x, problem, prelim=[1e-9])
+            one_step(x, problem, prelim=[1e-9])
 
 
 class TestClippedRows:
@@ -127,11 +122,11 @@ class TestClippedRows:
         # With an explicit preliminary the unclipped candidates do not depend
         # on the bounds, so a wide-bounds run gives them directly.
         x = simulate(REF, 400, seed=56).x
-        wide = one_step_scalar(x, problem_b, prelim=1.0).path[:, 0]
+        wide = one_step(x, problem_b, prelim=1.0).path[:, 0]
         lo, hi = float(np.quantile(wide, 0.2)), float(np.quantile(wide, 0.8))
         assert lo < 1.0 < hi  # the preliminary itself is not clipped
         tight = ParamProblem(unknown=("b",), bounds={"b": (lo, hi)}, known=problem_b.known)
-        trace = one_step_scalar(x, tight, prelim=1.0)
+        trace = one_step(x, tight, prelim=1.0)
         moved = (wide < lo) | (wide > hi)
         assert (wide < lo).any() and (wide > hi).any() and not moved.all()
         np.testing.assert_array_equal(trace.clipped, moved)
@@ -156,7 +151,7 @@ class TestZeroCorrection:
         )
         x = np.full(501, 2.0)
         for method in ("batch", "recurrent"):
-            trace = one_step_scalar(x, problem, method=method, prelim=[0.5])
+            trace = one_step(x, problem, method=method, prelim=[0.5])
             assert np.all(trace.path == 0.5), method
             assert not trace.clipped.any()
 
@@ -167,14 +162,14 @@ class TestZeroCorrection:
             known={"a": 0.0, "f": 2.0, "sigma2": 3.0},
         )
         params = problem.point(np.array([0.5]))
-        info = fisher_info(params, problem)
-        assert info.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
+        info = fisher_info(params, problem.unknown)
+        assert info[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestOneStepPair:
     def test_recovers_truth(self, problem_fa):
         x = simulate(REF, 10000, seed=49).x
-        trace = one_step_pair(x, problem_fa)
+        trace = one_step(x, problem_fa)
         final = trace.theta_at(10000)
         assert abs(final[0] - REF.f) < 0.2
         assert abs(final[1] - REF.a) < 0.2
@@ -182,14 +177,9 @@ class TestOneStepPair:
 
     def test_batch_equals_recurrent(self, problem_fa):
         x = simulate(REF, 3000, seed=50).x
-        batch = one_step_pair(x, problem_fa, method="batch")
-        rec = one_step_pair(x, problem_fa, method="recurrent")
+        batch = one_step(x, problem_fa, method="batch")
+        rec = one_step(x, problem_fa, method="recurrent")
         assert float(np.abs(batch.path - rec.path).max()) < 1e-12
-
-    def test_scalar_problem_rejected(self, problem_b):
-        x = simulate(REF, 1000, seed=51).x
-        with pytest.raises(ValueError):
-            one_step_pair(x, problem_b)
 
     def test_singular_information_rejected(self):
         # With b and f near zero the observations are almost white noise, so
@@ -201,7 +191,15 @@ class TestOneStepPair:
         )
         x = simulate(REF, 1000, seed=52).x
         with pytest.raises(FisherSingular):
-            one_step_pair(x, problem, prelim=[1e-3, -0.5])
+            one_step(x, problem, prelim=[1e-3, -0.5])
+
+
+@pytest.mark.parametrize("unknown", [("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2")])
+def test_sets_without_information_rejected(unknown):
+    # The process needs the Fisher information, which these sets lack.
+    x = simulate(REF, 1000, seed=54).x
+    with pytest.raises(UnsupportedSet, match="Fisher information"):
+        one_step(x, problem_for(REF, unknown))
 
 
 class TestEfficiencySmoke:
@@ -211,7 +209,7 @@ class TestEfficiencySmoke:
         final = []
         for rep in range(100):
             x = simulate(REF, 4000, seed=52, stream=rep).x
-            final.append(one_step_scalar(x, problem_b).theta_at(4000)[0])
+            final.append(one_step(x, problem_b).theta_at(4000)[0])
         ratio = 4000 * float(np.var(final, ddof=1)) / REF_VALUES["inv_info_b"]
         assert 0.5 < ratio < 1.8, ratio
 
@@ -219,7 +217,7 @@ class TestEfficiencySmoke:
 class TestEstimatorCsv:
     def test_roundtrip(self, tmp_path, problem_b):
         x = simulate(REF, 300, seed=53).x
-        trace = one_step_scalar(x, problem_b)
+        trace = one_step(x, problem_b)
         argv = ["onestep", "--T", "300", "--seed", "53", "--bounds", "b=0.1:5", "--out", str(tmp_path)]
         assert main(argv) == 0
         path = tmp_path / "estimator.csv"

@@ -15,8 +15,7 @@ from hidden_ar import (
     bayes,
     mle,
     mme,
-    one_step_pair,
-    one_step_scalar,
+    one_step,
     simulate,
 )
 from hidden_ar.model_core import INFORMATION_SETS
@@ -87,8 +86,7 @@ def test_mme(case):
 @given(case=case_st(INFORMATION_SETS))
 def test_one_step(case):
     _, problem, x = case
-    fit = one_step_scalar if problem.dim == 1 else one_step_pair
-    trace = _run(lambda: fit(x, problem))
+    trace = _run(lambda: one_step(x, problem))
     if trace is not None:
         _assert_estimates(trace.prelim, problem)
         _assert_estimates(trace.path, problem)

@@ -37,7 +37,12 @@ class TestSimulate:
         for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
             with pytest.raises(InvalidSeed):
                 simulate(REF, 10, seed=seed, stream=stream)
+        # Booleans and fractions are not truncated to a key.
+        for seed, stream in ((1.5, 0), (True, 0), (0, 2.7)):
+            with pytest.raises(ValueError, match="whole number"):
+                simulate(REF, 10, seed=seed, stream=stream)
         simulate(REF, 10, seed=2**64 - 1, stream=2**64 - 1)
+        np.testing.assert_array_equal(simulate(REF, 10, seed=2.0).x, simulate(REF, 10, seed=2).x)
 
     def test_deterministic_by_seed_and_stream(self):
         one = simulate(REF, 100, seed=7, stream=3)
