@@ -13,7 +13,6 @@ from .errors import (
     HiddenArError,
     HorizonTooShort,
     InvalidSeed,
-    MismatchedLengths,
     NonFiniteObservations,
     SeriesTooShort,
     UnsupportedCoordinate,
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .harness import ExperimentConfig, McReport, export, run_monte_carlo, run_replication
 from .kalman import FilterTrace, filter_derivative, filter_stationary, filter_transient
-from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
+from .likelihood import bayes, log_likelihood, mle
 from .model_core import (
     COORDINATES,
     ModelParams,
@@ -57,13 +56,11 @@ __all__ = [
     "HorizonTooShort",
     "InvalidSeed",
     "McReport",
-    "MismatchedLengths",
     "MmeEstimate",
     "ModelParams",
     "MomentStats",
     "NonFiniteObservations",
     "ParamProblem",
-    "PosteriorSpec",
     "SeriesTooShort",
     "StationaryGradient",
     "StationaryQuantities",

@@ -10,7 +10,8 @@ estimator path theta*_{t,T} -> plug-in filter
 where theta_hat_{t-1} is theta*_{t-1,T} once the path exists (t-1 >= tau+2)
 and the preliminary estimate before that. The scoring corrections feeding
 step t use observations up to x_{t-1} only; the moment preliminary is fit
-on the whole series (batch setting, see the onestep module).
+on the whole series (batch setting, see the onestep module). adaptive_filter
+runs all three steps and returns the one-step path it fitted.
 
 For unknown b the normalized excess risk t * E(m*_t - m_t(theta_0))^2
 converges to
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedLengths, UnsupportedSet, as_series
+from .errors import UnsupportedSet, as_series
 from .kalman import filter_stationary
 from .model_core import (
     ModelParams,
@@ -48,8 +49,8 @@ class AdaptiveTrace:
 
     tau         : learning interval end; m_star covers t = tau+1 .. T
     m_star      : the adaptive conditional-mean track
-    theta_track : the estimator process that was plugged in (None when the
-                  filter was run with a frozen parameter point)
+    theta_track : the one-step process fitted on the series and plugged in
+                  (None when the filter was run with a frozen parameter point)
     oracle_m    : stationary-filter track at the true point, full length
                   T+1, when the truth was supplied
     truth       : the true parameter point the run is scored against, or
@@ -82,45 +83,35 @@ def adaptive_filter(
     x,
     problem: ParamProblem,
     delta: float = 0.6,
-    track: EstimatorTrace | None = None,
     truth: ModelParams | None = None,
     frozen_at: ModelParams | None = None,
 ) -> AdaptiveTrace:
     """Run the adaptive filter on X_0..X_T.
 
-    ``track`` reuses an already-fitted estimator process (it must come from
-    the same observations and ``problem``, else ValueError). ``frozen_at``
-    bypasses estimation entirely and plugs a fixed parameter point into
-    every step, which reduces the recursion to the stationary filter; its
-    known coordinates must equal the problem's (else ValueError). ``truth``
-    records the true point and its oracle track m_t(truth), which
-    :func:`error_report` scores the run against; its known coordinates must
-    equal the problem's too (else ValueError).
+    It fits ``one_step(x, problem, delta)`` and returns it as ``theta_track``.
+    ``frozen_at`` bypasses estimation entirely and plugs a fixed parameter
+    point into every step after tau = learning_interval(T, delta), which
+    reduces the recursion to the stationary filter; its known coordinates
+    must equal the problem's (else ValueError). ``truth`` records the true
+    point and its oracle track m_t(truth), which :func:`error_report` scores
+    the run against; its known coordinates must equal the problem's too
+    (else ValueError).
     """
     problem.require_complete()
     x = as_series(x, 2)
     horizon = len(x) - 1
-    if track is not None and track.problem != problem:
-        raise ValueError(f"estimator track was fitted for {track.problem}, not {problem}")
 
     if frozen_at is not None:
         validate(frozen_at, problem)
-        tau = track.tau if track is not None else learning_interval(horizon, delta)
+        tau = learning_interval(horizon, delta)
         theta_plug = np.tile(problem.values_of(frozen_at), (horizon - tau, 1))
         track = None
     else:
-        if track is None:
-            track = one_step(x, problem, delta)
-        if track.horizon != horizon:
-            raise MismatchedLengths(
-                f"estimator track covers T={track.horizon}, observations give T={horizon}"
-            )
+        track = one_step(x, problem, delta)
         tau = track.tau
         # Step t consumes theta_hat_{t-1}: the preliminary for t-1 <= tau+1,
         # the path value afterwards.
-        theta_plug = np.vstack(
-            [track.prelim, track.prelim] + [track.path[: horizon - tau - 2]]
-        )
+        theta_plug = np.vstack([track.prelim, track.prelim, track.path[: horizon - tau - 2]])
 
     sq = stationary_from(**problem.coordinates(theta_plug.T))
 

@@ -28,7 +28,7 @@ from .adaptive import adaptive_filter, error_report, s_star_limit
 from .errors import HiddenArError, UnsupportedSet, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo, write_columns
 from .kalman import filter_derivative, filter_stationary
-from .likelihood import PosteriorSpec, bayes, log_likelihood, mle
+from .likelihood import bayes, log_likelihood, mle
 from .model_core import ModelParams, ParamProblem, validate
 from .moments import mme
 from .onestep import one_step
@@ -209,7 +209,7 @@ def _cmd_mle(args) -> int:
 
 def _cmd_bayes(args) -> int:
     _, problem, x = _inputs(args)
-    values = bayes(x, problem, PosteriorSpec(grid_size=args.grid_size))
+    values = bayes(x, problem, grid_size=args.grid_size)
     _print({"estimate": _named(problem, values)})
     return 0
 

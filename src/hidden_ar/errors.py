@@ -6,8 +6,9 @@ subclass ArithmeticError. The command line layer maps the former to exit
 code 2 and the latter (together with unexpected failures) to exit code 1.
 
 :func:`as_series` is the one check every entry point applies to an
-observation series, and :func:`as_whole` the one check on a count such as
-a horizon.
+observation series, :func:`as_whole` the one check on a count such as
+a horizon, and :func:`as_real` the one check on a real-valued config field
+such as a bound.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class HorizonTooShort(HiddenArError, ValueError):
     (floor(T^delta) > T - 2) or is below the minimum supported length."""
 
 
-class MismatchedLengths(HiddenArError, ValueError):
-    """Two series that must share a time axis have incompatible lengths."""
-
-
 class FisherSingular(HiddenArError, ArithmeticError):
     """The Fisher information evaluated at the preliminary estimate is
     numerically singular, so the scoring correction is undefined."""
@@ -107,3 +104,11 @@ def as_whole(name: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def as_real(name: str, value) -> float:
+    """value as a float; booleans, strings and other non-numbers raise
+    ValueError, so a field of "0.5" or True is never coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")

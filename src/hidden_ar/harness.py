@@ -25,8 +25,8 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .adaptive import adaptive_filter, s_star_limit
-from .errors import FisherSingular, UnsupportedSet, as_whole
-from .likelihood import PosteriorSpec, bayes, mle
+from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
+from .likelihood import bayes, mle
 from .model_core import INFORMATION_SETS, ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval, one_step
@@ -60,7 +60,7 @@ _ESTIMATORS = {
 _ON_PREFIX = {
     "mme": lambda prefix, problem: mme(prefix, problem).values,
     "mle": lambda prefix, problem: mle(prefix, problem),
-    "bayes": lambda prefix, problem: bayes(prefix, problem, PosteriorSpec()),
+    "bayes": lambda prefix, problem: bayes(prefix, problem),
 }
 
 
@@ -89,8 +89,8 @@ class ExperimentConfig:
         object.__setattr__(self, "problem", validate(self.params, self.problem))
         object.__setattr__(self, "horizons", tuple(as_whole("horizons", t) for t in self.horizons))
         object.__setattr__(self, "replications", as_whole("replications", self.replications))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "checkpoints", tuple(float(v) for v in self.checkpoints))
+        object.__setattr__(self, "delta", as_real("delta", self.delta))
+        object.__setattr__(self, "checkpoints", tuple(as_real("checkpoints", v) for v in self.checkpoints))
         object.__setattr__(self, "seed", as_whole("seed", self.seed))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.outputs is not None:
@@ -208,7 +208,10 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
 
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
     """One replication's rows; a pure function of (config, indices), so any
-    row can be regenerated in isolation from its stream id."""
+    row can be regenerated in isolation from its stream id. Indices outside
+    the config raise ValueError."""
+    if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
+        raise ValueError(f"indices ({horizon_index}, {rep}) lie outside the config's horizons or replications")
     horizon = config.horizons[horizon_index]
     stream = horizon_index * config.replications + rep
     problem = config.problem
@@ -233,14 +236,14 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         )
 
     track = None
-    if "onestep" in config.estimators or "adaptive" in config.estimators:
+    if "adaptive" in config.estimators:
+        atrace = adaptive_filter(x, problem, config.delta, truth=config.params)
+        track = atrace.theta_track
+    elif "onestep" in config.estimators:
         track = one_step(x, problem, config.delta)
 
     for name in config.estimators:
         if name == "adaptive":
-            atrace = adaptive_filter(
-                x, problem, config.delta, track=track, truth=config.params
-            )
             for v, t in times:
                 m_star = atrace.m_star_at(t)
                 emit("adaptive", "m", v, t, m_star - float(atrace.oracle_m[t]))

@@ -26,8 +26,8 @@ rule in A), so grid scans and refinement steps never revisit the series.
 The MLE maximizes L over the closed bounds box by a coarse grid scan (256
 nodes per dimension) followed by coordinate-wise golden-section refinement
 to bracket width 1e-8. The Bayes estimator is the posterior mean under a
-positive prior on the box, computed by trapezoid quadrature over the same
-kind of product grid with log-sum-exp stabilized weights.
+positive prior on the box, computed by trapezoid quadrature over a product
+grid of grid_size nodes per dimension with log-sum-exp stabilized weights.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePosterior, FlatLikelihood, as_series
+from .errors import DegeneratePosterior, FlatLikelihood, as_series, as_whole
 from .model_core import ModelParams, ParamProblem, stationary_from
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,20 +47,6 @@ _GRID = 256
 _BRACKET_TOL = 1e-8
 _FLAT_TOL = 1e-9
 _TAIL_TOL = 2.0**-54  # eps/4 for float64
-
-
-@dataclass(frozen=True)
-class PosteriorSpec:
-    """Quadrature settings for the Bayes estimator.
-
-    prior     : None for the uniform density on the box, or a sequence of
-                (value, density) pairs interpolated onto the quadrature grid
-                (scalar problems only); densities must be positive
-    grid_size : nodes per dimension, at least 64
-    """
-
-    prior: tuple[tuple[float, float], ...] | None = None
-    grid_size: int = 512
 
 
 @dataclass(frozen=True)
@@ -223,22 +209,24 @@ def _prior_on_grid(prior, axis: np.ndarray) -> np.ndarray:
     return dens
 
 
-def bayes(x, problem: ParamProblem, spec: PosteriorSpec | None = None) -> np.ndarray:
-    """Posterior-mean estimate of the unknown coordinates under the prior."""
+def bayes(x, problem: ParamProblem, grid_size: int = 512, prior=None) -> np.ndarray:
+    """Posterior-mean estimate of the unknown coordinates on a product grid
+    of grid_size nodes per dimension (a whole number, at least 64). prior is
+    None for the uniform density on the box, or (value, density) pairs
+    interpolated onto the grid (scalar problems only, densities positive)."""
     problem.require_complete()
-    if spec is None:
-        spec = PosteriorSpec()
-    if spec.grid_size < 64:
-        raise ValueError(f"need grid_size >= 64, got {spec.grid_size}")
+    grid_size = as_whole("grid_size", grid_size)
+    if grid_size < 64:
+        raise ValueError(f"need grid_size >= 64, got {grid_size}")
     if problem.dim not in (1, 2):
         raise ValueError(f"bayes supports 1 or 2 unknowns, got {problem.unknown}")
-    if problem.dim == 2 and spec.prior is not None:
+    if problem.dim == 2 and prior is not None:
         raise ValueError("tabulated priors are supported for scalar problems only")
     fun = _objective(x, problem)
-    axes, nodes = _grid(problem, spec.grid_size)
+    axes, nodes = _grid(problem, grid_size)
     weights = functools.reduce(np.multiply.outer, [_trapezoid_weights(axis) for axis in axes])
-    if spec.prior is not None:
-        weights = weights * _prior_on_grid(spec.prior, axes[0])
+    if prior is not None:
+        weights = weights * _prior_on_grid(prior, axes[0])
     ll = fun(*nodes)
     ll = ll - ll.max()
     mass = np.exp(ll) * weights

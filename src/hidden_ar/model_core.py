@@ -42,6 +42,7 @@ from .errors import (
     ForbiddenPair,
     UnsupportedCoordinate,
     UnsupportedSet,
+    as_real,
 )
 
 COORDINATES = ("a", "b", "f", "sigma2")
@@ -144,7 +145,7 @@ class ParamProblem:
         for name in self.unknown:
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for unknown coordinate {name!r}")
-            lo, hi = (float(v) for v in self.bounds[name])
+            lo, hi = (as_real(f"bounds of {name}", v) for v in self.bounds[name])
             _check_interval(name, lo, hi)
             bounds[name] = (lo, hi)
         extra = set(self.bounds) - set(self.unknown)
@@ -152,7 +153,7 @@ class ParamProblem:
             raise ValueError(f"bounds given for coordinates not in the unknown set: {sorted(extra)}")
         object.__setattr__(self, "bounds", bounds)
 
-        known = {str(k): float(v) for k, v in (self.known or {}).items()}
+        known = {str(k): as_real(f"known value of {k}", v) for k, v in (self.known or {}).items()}
         for name in known:
             if name not in COORDINATES:
                 raise ValueError(f"unknown coordinate name {name!r} in known values")

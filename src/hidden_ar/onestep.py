@@ -58,10 +58,8 @@ class EstimatorTrace:
     prelim  : preliminary estimate (canonical coordinate order)
     path    : array of shape (T - tau - 1, dim), row j is theta*_{t,T} at
               t = tau + 2 + j
-    delta   : learning exponent used
     t_grid  : the time indices tau+2 .. T matching the path rows
     clipped : per-row flag, True when any coordinate was clipped
-    problem : the estimation problem (for coordinate names and bounds)
     prelim_estimate : the MME result with clip and degeneracy flags, or
               None when an explicit preliminary was supplied
     """
@@ -69,10 +67,8 @@ class EstimatorTrace:
     tau: int
     prelim: np.ndarray
     path: np.ndarray
-    delta: float
     t_grid: np.ndarray
     clipped: np.ndarray
-    problem: ParamProblem
     prelim_estimate: MmeEstimate | None
 
     @property
@@ -178,9 +174,7 @@ def one_step(
         tau=tau,
         prelim=prelim_values,
         path=path,
-        delta=delta,
         t_grid=np.arange(tau + 2, horizon + 1),
         clipped=side.any(axis=1),
-        problem=problem,
         prelim_estimate=prelim_est,
     )

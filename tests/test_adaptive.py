@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hidden_ar import (
-    MismatchedLengths,
     UnsupportedSet,
     adaptive_filter,
     error_report,
     filter_stationary,
+    learning_interval,
     one_step,
     s_star_limit,
     simulate,
@@ -39,6 +39,7 @@ class TestOracleReduction:
     def test_frozen_trace_structure(self, problem_b):
         x = simulate(REF, 500, seed=81).x
         trace = adaptive_filter(x, problem_b, frozen_at=REF)
+        assert trace.tau == learning_interval(500, 0.6)
         assert trace.theta_track is None
         assert trace.oracle_m is None
         assert trace.theta_plug.shape == (500 - trace.tau, 1)
@@ -48,8 +49,9 @@ class TestOracleReduction:
 class TestAdaptiveRun:
     def test_track_reuse_and_plug_layout(self, problem_b):
         x = simulate(REF, 2000, seed=83).x
-        track = one_step(x, problem_b)
-        trace = adaptive_filter(x, problem_b, track=track, truth=REF)
+        trace = adaptive_filter(x, problem_b, truth=REF)
+        track = trace.theta_track
+        assert np.array_equal(track.path, one_step(x, problem_b).path)
         tau = track.tau
         assert trace.tau == tau
         assert trace.theta_plug.shape == (2000 - tau, 1)
@@ -60,24 +62,6 @@ class TestAdaptiveRun:
         np.testing.assert_array_equal(
             trace.theta_plug[-1], track.path[2000 - tau - 3]
         )
-
-    def test_fits_track_when_missing(self, problem_b):
-        x = simulate(REF, 2000, seed=83).x
-        auto = adaptive_filter(x, problem_b)
-        manual = adaptive_filter(x, problem_b, track=one_step(x, problem_b))
-        assert np.array_equal(auto.m_star, manual.m_star)
-
-    def test_mismatched_track_rejected(self, problem_b):
-        x = simulate(REF, 2000, seed=84).x
-        short_track = one_step(x[:1501], problem_b)
-        with pytest.raises(MismatchedLengths):
-            adaptive_filter(x, problem_b, track=short_track)
-
-    def test_track_for_another_problem_rejected(self, problem_b, problem_f):
-        x = simulate(REF, 2000, seed=86).x
-        track_f = one_step(x, problem_f)
-        with pytest.raises(ValueError, match="fitted for"):
-            adaptive_filter(x, problem_b, track=track_f)
 
     def test_frozen_point_must_match_known_values(self, problem_b):
         x = simulate(REF, 2000, seed=87).x

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-import hidden_ar.harness as harness_mod
+import hidden_ar.adaptive as adaptive_mod
 from hidden_ar.cli import build_parser, main
 
 from conftest import REF_VALUES, write_series_csv
@@ -327,6 +327,7 @@ class TestMonteCarlo:
             (dict(_SMALL_CONFIG, problem=["b"]), "problem must be an object"),
             (dict(_SMALL_CONFIG, estimators="mme"), "estimators must be a list"),
             ([_SMALL_CONFIG], "must hold a JSON object"),
+            (dict(_SMALL_CONFIG, delta="0.6"), "delta must be a real number"),
         ],
     )
     def test_config_file_bad_field_exit_2(self, capsys, tmp_path, doc, message):
@@ -443,7 +444,7 @@ class TestMonteCarlo:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(harness_mod, "one_step", broken)
+        monkeypatch.setattr(adaptive_mod, "one_step", broken)
         code, _, err = run_cli(
             capsys,
             ["montecarlo", "--T", "300", "--replications", "2", "--out", str(tmp_path)],

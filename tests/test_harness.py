@@ -20,7 +20,7 @@ from hidden_ar import (
     s_star_limit,
     stationary,
 )
-import hidden_ar.harness as harness_mod
+import hidden_ar.adaptive as adaptive_mod
 from hidden_ar.harness import write_columns
 
 from conftest import REF
@@ -60,9 +60,17 @@ class TestConfig:
             ("problem", ["b"]),
             ("params", {"a": 0.5}),
             ("estimators", "mme"),
+            # Numbers must be real numbers, not strings or booleans.
+            ("delta", "0.6"),
+            ("delta", True),
+            ("checkpoints", ["1.0"]),
+            ("checkpoints", [True]),
         ):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_dict(dict(doc, **{key: value}))
+        for bounds in (["0.1", 5], [True, 5]):
+            with pytest.raises(ValueError, match="bounds of b must be a real number"):
+                ExperimentConfig.from_dict(dict(doc, problem={"unknown": ["b"], "bounds": {"b": bounds}}))
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict(dict(doc, replicas=3))
         for key in ("params", "problem", "horizons", "replications"):
@@ -193,6 +201,21 @@ class TestReplication:
         assert all(r["stream"] == 8 + 3 for r in rows)
         assert all(r["T"] == 500 for r in rows)
 
+    def test_indices_outside_config_rejected(self):
+        # Out-of-range indices would run another replication's stream, or
+        # one that belongs to none, under the wrong labels.
+        config = small_config(horizons=(300, 400), replications=2)
+        for indices in ((0, 2), (1, -1), (2, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="outside the config"):
+                run_replication(config, *indices)
+
+    def test_onestep_rows_same_with_and_without_adaptive(self):
+        # With adaptive selected, the onestep rows come from the track the
+        # adaptive filter fitted; without it, from one_step directly.
+        both = run_replication(small_config(), 0, 5)
+        alone = run_replication(small_config(estimators=("onestep",)), 0, 5)
+        assert [r for r in both if r["estimator"] == "onestep"] == alone
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
@@ -307,7 +330,7 @@ class TestAggregation:
 class TestFailureCapture:
     def test_error_rows_recorded(self, monkeypatch):
         config = small_config(replications=6)
-        real = harness_mod.one_step
+        real = adaptive_mod.one_step
         target = run_replication(config, 0, 4)[0]["stream"]
 
         def broken(x, problem, delta=0.6, method="batch", prelim=None):
@@ -318,7 +341,7 @@ class TestFailureCapture:
             return real(x, problem, delta, method, prelim)
 
         broken.calls = 0
-        monkeypatch.setattr(harness_mod, "one_step", broken)
+        monkeypatch.setattr(adaptive_mod, "one_step", broken)
         report = run_monte_carlo(config)
         errors = [r for r in report.replications if r["estimator"] == "error"]
         assert len(errors) == 1

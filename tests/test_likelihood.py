@@ -12,7 +12,6 @@ from hidden_ar import (
     FlatLikelihood,
     ModelParams,
     ParamProblem,
-    PosteriorSpec,
     SeriesTooShort,
     bayes,
     log_likelihood,
@@ -166,33 +165,32 @@ class TestBayes:
         # concentrated near the upper bound must drag the posterior mean up.
         x = simulate(REF, 4, seed=69).x
         flat = bayes(x, problem_b)[0]
-        spec = PosteriorSpec(prior=((0.1, 1e-6), (4.0, 1e-6), (5.0, 50.0)))
-        pulled = bayes(x, problem_b, spec)[0]
+        pulled = bayes(x, problem_b, prior=((0.1, 1e-6), (4.0, 1e-6), (5.0, 50.0)))[0]
         assert pulled > flat + 0.5
 
     def test_pair_posterior_mean(self, problem_fa):
         x = simulate(REF, 400, seed=70).x
-        est = bayes(x, problem_fa, PosteriorSpec(grid_size=64))
+        est = bayes(x, problem_fa, grid_size=64)
         assert est.shape == (2,)
         assert abs(est[0] - REF.f) < 0.6
         assert abs(est[1] - REF.a) < 0.6
 
     def test_grid_size_guard(self, problem_b):
         x = simulate(REF, 100, seed=71).x
-        with pytest.raises(ValueError):
-            bayes(x, problem_b, PosteriorSpec(grid_size=32))
+        for bad in (32, 100.5, True):
+            with pytest.raises(ValueError):
+                bayes(x, problem_b, grid_size=bad)
+        assert np.array_equal(bayes(x, problem_b, grid_size=100.0), bayes(x, problem_b, grid_size=100))
 
     def test_pair_with_tabulated_prior_rejected(self, problem_fa):
         x = simulate(REF, 100, seed=71).x
-        spec = PosteriorSpec(prior=((0.1, 1.0), (5.0, 1.0)), grid_size=64)
         with pytest.raises(ValueError):
-            bayes(x, problem_fa, spec)
+            bayes(x, problem_fa, grid_size=64, prior=((0.1, 1.0), (5.0, 1.0)))
 
     def test_nonpositive_prior_rejected(self, problem_b):
         x = simulate(REF, 100, seed=71).x
-        spec = PosteriorSpec(prior=((0.1, 0.0), (5.0, 1.0)))
         with pytest.raises(ValueError):
-            bayes(x, problem_b, spec)
+            bayes(x, problem_b, prior=((0.1, 0.0), (5.0, 1.0)))
 
     def test_mean_stays_in_box_with_all_mass_on_an_edge(self):
         # On this series the posterior puts all its mass on the upper f edge;
@@ -201,7 +199,7 @@ class TestBayes:
         problem = problem_for(params, ("f", "a"))
         x = simulate(params, 30, seed=0).x * 1e150
         with np.errstate(over="ignore", invalid="ignore"):
-            values = bayes(x, problem, PosteriorSpec(grid_size=64))
+            values = bayes(x, problem, grid_size=64)
         assert values[0] == problem.bounds["f"][1]
         assert problem.bounds["a"][0] <= values[1] <= problem.bounds["a"][1]
 

@@ -129,6 +129,9 @@ class TestParamProblem:
             ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}, known={"b": 1.0})
         with pytest.raises(ValueError):
             ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}, known={"zz": 1.0})
+        for bad in ("0.5", True):
+            with pytest.raises(ValueError, match="known value of a must be a real number"):
+                ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}, known={"a": bad})
 
     def test_point_and_values_roundtrip(self, problem_fa):
         params = problem_fa.point(np.array([1.3, -0.2]))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hidden_ar import (
     HiddenArError,
     ModelParams,
-    PosteriorSpec,
     adaptive_filter,
     bayes,
     mle,
@@ -116,6 +115,6 @@ def test_mle(case):
 @given(case=case_st(GRID_SETS))
 def test_bayes(case):
     _, problem, x = case
-    values = _run(lambda: bayes(x, problem, PosteriorSpec(grid_size=64)))
+    values = _run(lambda: bayes(x, problem, grid_size=64))
     if values is not None:
         _assert_estimates(values, problem)
