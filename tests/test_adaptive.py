@@ -51,7 +51,6 @@ class TestAdaptiveRun:
         x = simulate(REF, 2000, seed=83).x
         trace = adaptive_filter(x, problem_b, truth=REF)
         track = trace.theta_track
-        assert np.array_equal(track.path, one_step(x, problem_b).path)
         tau = track.tau
         assert trace.tau == tau
         assert trace.theta_plug.shape == (2000 - tau, 1)
@@ -62,6 +61,15 @@ class TestAdaptiveRun:
         np.testing.assert_array_equal(
             trace.theta_plug[-1], track.path[2000 - tau - 3]
         )
+
+    def test_fits_track_when_missing(self, problem_b):
+        # Without a frozen point the run fits its own One-step track, the
+        # same one one_step returns, and the truth changes no filter value.
+        x = simulate(REF, 2000, seed=83).x
+        auto = adaptive_filter(x, problem_b)
+        assert np.array_equal(auto.theta_track.path, one_step(x, problem_b).path)
+        scored = adaptive_filter(x, problem_b, truth=REF)
+        assert np.array_equal(auto.m_star, scored.m_star)
 
     def test_frozen_point_must_match_known_values(self, problem_b):
         x = simulate(REF, 2000, seed=87).x
