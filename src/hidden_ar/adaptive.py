@@ -11,7 +11,9 @@ where theta_hat_{t-1} is theta*_{t-1,T} once the path exists (t-1 >= tau+2)
 and the preliminary estimate before that. The scoring corrections feeding
 step t use observations up to x_{t-1} only; the moment preliminary is fit
 on the whole series (batch setting, see the onestep module). adaptive_filter
-runs all three steps and returns the one-step path it fitted.
+runs all three steps and returns the one-step path it fitted. The recursion
+is computed as one bidiagonal solve, which is exact: with |A| < 1 LAPACK's
+dgtsv never pivots and does the recursion's own multiply and add.
 
 For unknown b the normalized excess risk t * E(m*_t - m_t(theta_0))^2
 converges to
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import UnsupportedSet, as_series
 from .kalman import filter_stationary
@@ -115,11 +118,7 @@ def adaptive_filter(
 
     sq = stationary_from(**problem.coordinates(theta_plug.T))
 
-    m_star = []
-    prev = 0.0  # m*_tau
-    for a_coef, drive in zip(sq.a_coef.tolist(), (sq.gain * x[tau + 1 :]).tolist()):
-        prev = a_coef * prev + drive
-        m_star.append(prev)
+    m_star = _recursion(sq.a_coef, sq.gain * x[tau + 1 :])
 
     oracle_m = None
     if truth is not None:
@@ -127,13 +126,26 @@ def adaptive_filter(
         oracle_m = filter_stationary(truth, x, m0=0.0).m
     return AdaptiveTrace(
         tau=tau,
-        m_star=np.array(m_star),
+        m_star=m_star,
         theta_track=track,
         oracle_m=oracle_m,
         truth=truth,
         theta_plug=theta_plug,
         problem=problem,
     )
+
+
+def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit."""
+    # The unit lower bidiagonal system m_t - a_coef_t m_{t-1} = drive_t. With
+    # |a_coef| <= 1 dgtsv never pivots: its elimination rounds as the recursion
+    # does, and its back substitution subtracts 0 * b and divides by 1. (Not
+    # solve_banded or dtbsv: their BLAS kernels may fuse the multiply-add.)
+    n = len(drive)
+    *_, m, info = lapack.dgtsv(-a_coef[1:], np.ones(n), np.zeros(n - 1), drive)
+    if info != 0:
+        raise ArithmeticError(f"dgtsv failed on the filter recursion (info={info})")
+    return m
 
 
 def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:

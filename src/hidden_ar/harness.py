@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special, stats
 
 from .adaptive import adaptive_filter, s_star_limit
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"horizons must be positive, got {self.horizons}")
         if self.replications < 1:
             raise ValueError(f"need replications >= 1, got {self.replications}")
+        if not 0.5 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0.5, 1), got {self.delta}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.checkpoints or not all(0.0 < v <= 1.0 for v in self.checkpoints):
@@ -280,6 +282,18 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     return out
 
 
+def _ks_normal(values: np.ndarray, scale: float) -> tuple[float, float]:
+    """The two-sided Kolmogorov-Smirnov statistic of values against
+    N(0, scale^2) and its exact p-value: the arithmetic of
+    scipy.stats.kstest(values, "norm", args=(0, scale)), without its wrapper."""
+    n = len(values)
+    cdf = special.ndtr(np.sort(values) / scale)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(d), float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0))
+
+
 def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     targets = _targets(config)
     failures: dict[int, int] = {}
@@ -320,10 +334,7 @@ def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dic
             ratio = None if target is None or target == 0.0 else t * var / target
         ks_stat = ks_pvalue = None
         if target is not None and target > 0.0 and n >= 2 and coord != "y":
-            normalized = math.sqrt(t) * centered
-            result = _scipy_stats.kstest(normalized, "norm", args=(0.0, math.sqrt(target)))
-            ks_stat = float(result.statistic)
-            ks_pvalue = float(result.pvalue)
+            ks_stat, ks_pvalue = _ks_normal(math.sqrt(t) * centered, math.sqrt(target))
         cells.append(
             {
                 "estimator": estimator,
@@ -349,8 +360,7 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
     """Execute the experiment, one replication after another; the report is
     a deterministic function of the config.
 
-    ``threads`` must be 1. The estimators run Python loops that hold the
-    interpreter lock, so a thread pool measured slower than this loop and
+    ``threads`` must be 1: a thread pool measured slower than this loop and
     was removed; the keyword stays for callers that still pass it.
     """
     if threads != 1:

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from hidden_ar import ModelParams, ParamProblem
+from hidden_ar import ModelParams, ParamProblem, stationary_from
 
 # Reference point used throughout the verification experiments.
 REF = ModelParams(a=0.5, b=1.0, f=1.0, sigma2=1.0)
@@ -57,6 +57,23 @@ def problem_for(params: ModelParams, unknown, margin: float = 4.0) -> ParamProbl
         if name not in names
     }
     return ParamProblem(unknown=names, bounds=bounds, known=known)
+
+
+def recursion_loop(a_coef, drive) -> np.ndarray:
+    """m_t = a_coef_t m_{t-1} + drive_t from m_0 = 0, one Python step at a
+    time: the oracle for the adaptive filter's bidiagonal solve."""
+    m = []
+    prev = 0.0
+    for a, d in zip(a_coef.tolist(), drive.tolist()):
+        prev = a * prev + d
+        m.append(prev)
+    return np.array(m)
+
+
+def plugged_recursion(trace, x) -> np.ndarray:
+    """recursion_loop on an adaptive trace's own plug-in values."""
+    sq = stationary_from(**trace.problem.coordinates(trace.theta_plug.T))
+    return recursion_loop(sq.a_coef, sq.gain * x[trace.tau + 1 :])
 
 
 def write_series_csv(path, values):

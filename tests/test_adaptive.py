@@ -19,7 +19,16 @@ from hidden_ar import (
 )
 from hidden_ar.cli import main
 
-from conftest import REF, REF_VALUES, random_params, write_series_csv
+from hidden_ar.adaptive import _recursion
+
+from conftest import (
+    REF,
+    REF_VALUES,
+    plugged_recursion,
+    random_params,
+    recursion_loop,
+    write_series_csv,
+)
 
 
 class TestOracleReduction:
@@ -44,6 +53,58 @@ class TestOracleReduction:
         assert trace.oracle_m is None
         assert trace.theta_plug.shape == (500 - trace.tau, 1)
         assert np.all(trace.theta_plug == 1.0)
+
+
+class TestRecursionSolve:
+    """The bidiagonal solve reproduces the step-by-step recursion bit for bit."""
+
+    def test_random_coefficient_paths(self):
+        rng = np.random.default_rng(511)
+        edge = 1.0 - 1e-12
+        for n in (2, 3, 17, 1000, 100_000):
+            for _ in range(4):
+                a_coef = rng.uniform(-edge, edge, n)
+                drive = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(n)
+                m = _recursion(a_coef, drive)
+                assert m.shape == (n,)
+                assert np.array_equal(m, recursion_loop(a_coef, drive))
+            # Coefficients within 1e-12 of the unit circle, of either sign.
+            near = 1.0 - 10.0 ** rng.uniform(-12, -1, n)
+            a_coef = np.clip(rng.choice([-1.0, 1.0], n) * near, -edge, edge)
+            drive = rng.standard_normal(n)
+            assert np.array_equal(_recursion(a_coef, drive), recursion_loop(a_coef, drive))
+
+    def test_constant_coefficient(self):
+        rng = np.random.default_rng(512)
+        for a in (REF_VALUES["a_coef"], -0.9, 1.0 - 1e-12):
+            drive = rng.standard_normal(5000)
+            a_coef = np.full(5000, a)
+            assert np.array_equal(_recursion(a_coef, drive), recursion_loop(a_coef, drive))
+
+    def test_drive_left_unchanged(self):
+        drive = np.arange(1.0, 6.0)
+        _recursion(np.full(5, 0.5), drive)
+        assert np.array_equal(drive, np.arange(1.0, 6.0))
+
+    def test_singular_system_raises(self):
+        # An infinite coefficient makes dgtsv pivot into an exact zero.
+        with pytest.raises(ArithmeticError, match="dgtsv"):
+            _recursion(np.array([0.5, np.inf, 0.5]), np.ones(3))
+
+    def test_adaptive_runs_match_loop(self, problem_b, problem_f, problem_a, problem_fa):
+        # Estimated runs on every supported set, the shortest frozen run
+        # (T=16, tau=14, two steps) and a long horizon.
+        for problem in (problem_b, problem_f, problem_a, problem_fa):
+            x = simulate(REF, 2000, seed=88).x
+            trace = adaptive_filter(x, problem)
+            assert np.array_equal(trace.m_star, plugged_recursion(trace, x))
+        x = simulate(REF, 16, seed=89).x
+        trace = adaptive_filter(x, problem_b, delta=0.96, frozen_at=REF)
+        assert len(trace.m_star) == 2
+        assert np.array_equal(trace.m_star, plugged_recursion(trace, x))
+        x = simulate(REF, 100_000, seed=90).x
+        trace = adaptive_filter(x, problem_b)
+        assert np.array_equal(trace.m_star, plugged_recursion(trace, x))
 
 
 class TestAdaptiveRun:

@@ -7,6 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hidden_ar import (
     ExperimentConfig,
@@ -21,7 +22,7 @@ from hidden_ar import (
     stationary,
 )
 import hidden_ar.adaptive as adaptive_mod
-from hidden_ar.harness import write_columns
+from hidden_ar.harness import _ks_normal, write_columns
 
 from conftest import REF
 
@@ -49,6 +50,18 @@ class TestConfig:
         assert clone.params == config.params
         assert clone.problem.unknown == config.problem.unknown
         assert clone.problem.is_complete()
+
+    def test_delta_checked_for_every_estimator(self):
+        # delta is range-checked even when no estimator uses it, so an
+        # mme-only config cannot write a report that from_dict rejects.
+        for delta in (float("nan"), 5.0, 0.5, 1.0, 0.3):
+            with pytest.raises(ValueError, match="delta"):
+                small_config(horizons=(10,), estimators=("mme",), delta=delta)
+        config = small_config(
+            horizons=(10,), checkpoints=(1.0,), estimators=("mme",), replications=2, delta=0.7
+        )
+        document = json.loads(run_monte_carlo(config).to_json())["config"]
+        assert ExperimentConfig.from_dict(document).to_dict() == config.to_dict()
 
     def test_from_dict_checks_fields(self):
         doc = small_config().to_dict()
@@ -107,7 +120,7 @@ class TestConfig:
             small_config(horizons=(1000,), checkpoints=(0.063, 1.0))
         small_config(horizons=(1000,), checkpoints=(0.064, 1.0))
         # Estimators without a learning interval keep short horizons.
-        small_config(horizons=(10,), estimators=("mme",), delta=0.3)
+        small_config(horizons=(10,), estimators=("mme",))
         # mme needs t >= 3, mle and bayes need t >= 1.
         with pytest.raises(ValueError):
             small_config(horizons=(1000,), checkpoints=(0.002, 1.0), estimators=("mme",))
@@ -325,6 +338,23 @@ class TestAggregation:
         doc = json.loads(report.to_json())  # allow_nan=False must not throw
         cell = doc["cells"][0]
         assert cell["var"] is None
+
+
+class TestKsNormal:
+    def test_matches_scipy_kstest_bitwise(self):
+        rng = np.random.default_rng(23)
+        for n in range(2, 65):
+            scale = float(rng.uniform(0.1, 10.0))
+            plain = scale * rng.standard_normal(n)
+            tied = plain.copy()
+            tied[: n // 2 + 1] = tied[0]
+            tails = plain.copy()
+            tails[0], tails[-1] = -60.0 * scale, 1e6 * scale  # ndtr gives exactly 0 and 1
+            shifted = plain + 3.0 * scale  # tiny p-values
+            for values in (plain, tied, tails, shifted, np.full(n, 0.25 * scale)):
+                want = stats.kstest(values, "norm", args=(0.0, scale))
+                got = _ks_normal(values, scale)
+                assert got == (float(want.statistic), float(want.pvalue))
 
 
 class TestFailureCapture:

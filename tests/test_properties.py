@@ -19,7 +19,7 @@ from hidden_ar import (
 )
 from hidden_ar.model_core import INFORMATION_SETS
 
-from conftest import problem_for
+from conftest import plugged_recursion, problem_for
 
 ALL_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2"))
 GRID_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"))
@@ -97,6 +97,9 @@ def test_adaptive_filter(case):
     params, problem, x = case
     trace = _run(lambda: adaptive_filter(x, problem, truth=params))
     if trace is not None:
+        # The bidiagonal solve equals the step-by-step recursion on the
+        # same plug-in values, on extreme series too.
+        assert np.array_equal(trace.m_star, plugged_recursion(trace, x))
         assert np.isfinite(trace.m_star).all()
         assert np.isfinite(trace.oracle_m).all()
         _assert_estimates(trace.theta_plug, problem)
