@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import UnsupportedSet, as_series
+from .errors import UnsupportedSet, as_real, as_series
 from .kalman import filter_stationary
 from .model_core import (
     ModelParams,
@@ -178,6 +178,7 @@ def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
     truth_values = trace.problem.values_of(trace.truth)
     rows: list[dict[str, float]] = []
     for v in checkpoints:
+        v = as_real("checkpoints", v)
         if not 0.0 < v <= 1.0:
             raise ValueError(f"checkpoints must lie in (0, 1], got {v}")
         t = math.floor(v * horizon)
@@ -186,7 +187,7 @@ def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
                 f"checkpoint v={v} gives t={t} inside the learning interval (tau={trace.tau})"
             )
         diff = trace.m_star_at(t) - float(trace.oracle_m[t])
-        row = {"v": float(v), "t": float(t), "filter_error": t * diff * diff}
+        row = {"v": v, "t": float(t), "filter_error": t * diff * diff}
         if trace.theta_track is not None:
             dev = trace.theta_track.theta_at(t) - truth_values
             row["estimator_error"] = t * float(dev @ dev)

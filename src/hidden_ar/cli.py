@@ -57,7 +57,7 @@ _FLAGS = {
         help="per-coordinate bounds as name=lo:hi[,name=lo:hi...]; defaults: "
         "a=-0.9:0.9, b/f/sigma2=0.05:5",
     ),
-    "wrt": dict(default=None, choices=["f", "b", "a"], help="add a derivative track"),
+    "wrt": dict(default=None, help="add a derivative track in this coordinate"),
     "no-hidden": dict(action="store_true", help="drop the hidden state column"),
     "delta": dict(type=float, default=0.6),
     "grid-size": dict(type=int, default=512),

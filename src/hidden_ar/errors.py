@@ -41,8 +41,8 @@ class UnsupportedSet(HiddenArError, ValueError):
 
 
 class UnsupportedCoordinate(HiddenArError, ValueError):
-    """The requested coordinate is outside the supported set for this
-    operation (for example a derivative filter with respect to sigma2)."""
+    """The requested coordinate is not one of a, b, f and sigma2 (for
+    example a derivative filter with respect to an unknown name)."""
 
 
 class SeriesTooShort(HiddenArError, ValueError):

@@ -27,7 +27,7 @@ from scipy import special, stats
 from .adaptive import adaptive_filter, s_star_limit
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
 from .likelihood import bayes, mle
-from .model_core import INFORMATION_SETS, ModelParams, ParamProblem, fisher_info, stationary, validate
+from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval, one_step
 from .simulator import simulate
@@ -37,22 +37,18 @@ class _Needs(NamedTuple):
     """What an estimator needs from the config."""
 
     first_t: Callable[[int, float], int]  # smallest checkpoint time t, given (T, delta)
-    unknown_sets: tuple[tuple[str, ...], ...] | None  # None: every set ParamProblem accepts
+    max_dim: int | None  # most unknowns it takes (the likelihood grid: 2); None: no limit
 
-
-# The one-step process needs the Fisher information, which exists for
-# INFORMATION_SETS; the likelihood grid covers one or two unknowns.
-_GRID_SETS = INFORMATION_SETS + (("sigma2",),)
 
 # mme reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and
 # the adaptive track starts at tau + 1; learning_interval raises
 # HorizonTooShort for a horizon too short for any learning interval.
 _ESTIMATORS = {
     "mme": _Needs(lambda T, delta: 3, None),
-    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), INFORMATION_SETS),
-    "mle": _Needs(lambda T, delta: 1, _GRID_SETS),
-    "bayes": _Needs(lambda T, delta: 1, _GRID_SETS),
-    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, INFORMATION_SETS),
+    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), None),
+    "mle": _Needs(lambda T, delta: 1, 2),
+    "bayes": _Needs(lambda T, delta: 1, 2),
+    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, None),
 }
 
 # Estimates computed afresh on each prefix x[: t + 1]. The lambdas look the
@@ -121,9 +117,9 @@ class ExperimentConfig:
             if name not in _ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}; choose from {tuple(_ESTIMATORS)}")
             need = _ESTIMATORS[name]
-            if need.unknown_sets is not None and self.problem.unknown not in need.unknown_sets:
+            if need.max_dim is not None and self.problem.dim > need.max_dim:
                 raise UnsupportedSet(
-                    f"{name} supports the unknown sets {need.unknown_sets}, got {self.problem.unknown}"
+                    f"{name} takes at most {need.max_dim} unknowns, got {self.problem.unknown}"
                 )
             needs.append(need)
         for horizon in self.horizons:
@@ -267,7 +263,7 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     out: dict[tuple[str, str], float | None] = {}
     try:
         inv_diagonal = np.linalg.inv(fisher_info(config.params, problem.unknown)).diagonal().tolist()
-    except (UnsupportedSet, FisherSingular):
+    except FisherSingular:
         inv_diagonal = [None] * problem.dim
     for name in config.estimators:
         if name == "adaptive":

@@ -11,7 +11,7 @@ Three forms:
   constant coefficients A = a*sigma2/P and e = a*f*gamma_star/P,
 
 * derivative: the track dm_t = d m_t / d psi obtained by differentiating the
-  stationary recursion in the parameter with the observations held fixed,
+  stationary recursion in a coordinate psi with the observations held fixed,
 
       dm_t = A*dm_{t-1} + dA_psi*m_{t-1} + de_psi*x_t.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import UnsupportedCoordinate, as_series
+from .errors import as_real, as_series
 from .model_core import (
     ModelParams,
     StationaryGradient,
@@ -83,7 +83,7 @@ def filter_transient(
 
 def _require_finite(**starts: float) -> None:
     for name, value in starts.items():
-        if not math.isfinite(value):
+        if not math.isfinite(as_real(name, value)):
             raise ValueError(f"need a finite {name}, got {value}")
 
 
@@ -120,16 +120,15 @@ def filter_derivative(
 
         dm_t = A*dm_{t-1} + dA*m_{t-1} + de*x_t,
 
-    with dA and de (the gain derivative) from the stationary gradient.
-    Supported for f, b, a (sigma2 has no estimator downstream).
+    with dA and de (the gain derivative) from the stationary gradient, for
+    any of the four coordinates (else UnsupportedCoordinate).
     """
-    if wrt not in ("f", "b", "a"):
-        raise UnsupportedCoordinate(f"no derivative filter for coordinate {wrt!r}")
+    grad = stationary_gradient(params, wrt)
     x = as_series(x, 2)
     _require_finite(m0=m0, dm0=dm0)
     sq = stationary(params)
     m = _stationary_means(x, m0, sq)
-    dm = _derivative_track(x, m, dm0, sq, stationary_gradient(params, wrt))
+    dm = _derivative_track(x, m, dm0, sq, grad)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
     return FilterTrace(
         m=m, gamma=sq.gamma_star, innovations=zeta, dm={wrt: dm}, params=params

@@ -202,6 +202,8 @@ def _prior_on_grid(prior, axis: np.ndarray) -> np.ndarray:
     pairs = np.asarray(prior, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("prior must be a sequence of (value, density) pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"prior values and densities must be finite, got {pairs.tolist()}")
     order = np.argsort(pairs[:, 0])
     dens = np.interp(axis, pairs[order, 0], pairs[order, 1])
     if not np.all(dens > 0.0):
@@ -213,7 +215,8 @@ def bayes(x, problem: ParamProblem, grid_size: int = 512, prior=None) -> np.ndar
     """Posterior-mean estimate of the unknown coordinates on a product grid
     of grid_size nodes per dimension (a whole number, at least 64). prior is
     None for the uniform density on the box, or (value, density) pairs
-    interpolated onto the grid (scalar problems only, densities positive)."""
+    interpolated onto the grid (scalar problems only, every value and density
+    finite, densities positive)."""
     problem.require_complete()
     grid_size = as_whole("grid_size", grid_size)
     if grid_size < 64:

@@ -19,8 +19,8 @@ coefficient B = a * Gamma / sqrt(P) with Gamma = f^2 * gamma_star.
 
 Parameter derivatives come from implicit differentiation of the quadratic,
 never from finite differences. fisher_info returns the Fisher information
-of every unknown set in INFORMATION_SETS ({b}, {f}, {a}, {f, a}) as one
-(dim, dim) array, from one formula,
+of every unknown set ParamProblem accepts as one (dim, dim) array, from one
+formula,
 
     I_ij = (C_ij + Pdot_i * Pdot_j / (2P)) / P,   C = E[Mdot Mdot^T],
 
@@ -140,6 +140,9 @@ class ParamProblem:
         if key not in _SUPPORTED_SETS:
             raise UnsupportedSet(f"unsupported unknown set {sorted(key)}")
         object.__setattr__(self, "unknown", _SUPPORTED_SETS[key])
+        for name, value in (("bounds", self.bounds), ("known", {} if self.known is None else self.known)):
+            if not isinstance(value, dict):
+                raise ValueError(f"{name} must map coordinate names to values, got {value!r}")
 
         bounds: dict[str, tuple[float, float]] = {}
         for name in self.unknown:
@@ -382,73 +385,68 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
 # Fisher information
 # ---------------------------------------------------------------------------
 
-# The unknown sets that have a Fisher information (and so a one-step
-# process), each in canonical coordinate order.
-INFORMATION_SETS = (("f",), ("b",), ("a",), ("f", "a"))
-
-
 def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     """Fisher information matrix per observation at ``params``, shape
     (dim, dim), rows and columns in the order of ``unknown``, which must be
-    one of INFORMATION_SETS (else UnsupportedSet).
+    a supported unknown set in canonical order (else UnsupportedSet).
 
     M_t = f*m_t satisfies M_t = a*M_{t-1} + B*z_t at the true point, with z
     the standardized innovations. Differentiating the observed-form filter in
     coordinate i and substituting the true-point innovation representation
-    leaves
+    leaves, for every coordinate,
 
-        Mdot_{i,t} = A*Mdot_{i,t-1} + [i = a]*M_{t-1} + Bdot_i*z_t,
-        Bdot_i = beta_i + [i = a]*Gamma/sqrt(P),  beta_i = a*sigma2*Pdot_i/P^(3/2).
+        Mdot_{i,t} = A*Mdot_{i,t-1} + kappa_i*M_{t-1} + (beta_i + eps_i)*z_t,
+        beta_i = a*sigma2*Pdot_i/P^(3/2),
 
-    Every entry is
+    with kappa_a = 1, eps_a = Gamma/sqrt(P), eps_sigma2 = -a/sqrt(P) and
+    every other kappa and eps 0. Every entry is
 
         I_ij = (C_ij + Pdot_i*Pdot_j/(2P)) / P,   C = E[Mdot Mdot^T],
 
     where the stationary second-moment recursions of (M, Mdot) give
 
-        E[M^2] = B^2/(1 - a^2),
-        w_i = E[Mdot_i M] = ([i = a]*a*E[M^2] + Bdot_i*B) / (1 - a*A),
-        C_ij*(1 - A^2) = Bdot_i*Bdot_j + A*([j = a]*w_i + [i = a]*w_j)
-                         + [i = a][j = a]*E[M^2].
+        E[M^2] = mu = B^2/(1 - a^2),
+        w_i = E[Mdot_i M] = (kappa_i*a*mu + (beta_i + eps_i)*B) / (1 - a*A),
+        C_ij*(1 - A^2) = beta_i*beta_j + (kappa_j*A*w_i + eps_j*beta_i)
+                         + (kappa_i*A*w_j + eps_i*beta_j)
+                         + (kappa_i*kappa_j*mu + eps_i*eps_j).
 
     The share beta_i*beta_j/(1 - A^2) of C joins the Pdot term in the closed
     form Pdot_i*Pdot_j*(P^2 + a^2 sigma2^2) / (2 P^2 (P^2 - a^2 sigma2^2));
-    each remaining term carries [i = a] or [j = a], so for b and f it is
-    exactly 0.0 and the closed form stands alone.
+    the remaining terms are exactly 0.0 for b and f, where the closed form
+    stands alone.
 
     Raises FisherSingular unless trace(I) > 0 and
     det(I) >= 1e-12 * trace(I)^(2 (dim - 1)): I >= 1e-12 for one coordinate,
     det/trace^2 >= 1e-12 (positive definite, condition number below about
-    1e12) for the pair.
+    1e12) for a pair.
     """
-    if unknown not in INFORMATION_SETS:
-        raise UnsupportedSet(
-            f"Fisher information is not available for the unknown set {unknown}; "
-            f"supported sets are {INFORMATION_SETS}"
-        )
+    if _SUPPORTED_SETS.get(frozenset(unknown)) != unknown:
+        raise UnsupportedSet(f"{unknown} is not a supported unknown set in canonical order")
     sq = stationary(params)
     a, s2 = params.a, params.sigma2
     A, B, p = sq.a_coef, sq.b_coef, sq.p
     p2 = p * p
     as4 = (a * s2) ** 2
     p32 = p * math.sqrt(p)
-    g = sq.big_gamma / math.sqrt(p)  # the [i = a] part of Bdot_i
     mu = B * B / (1.0 - a * a)  # E[M^2]
-    d_p, is_a, own = [], [], []
-    for coord in unknown:
-        dp = stationary_gradient(params, coord).d_p
-        ind = 1.0 if coord == "a" else 0.0
-        beta = a * s2 * dp / p32
-        w = (ind * a * mu + (beta + ind * g) * B) / (1.0 - a * A)  # E[Mdot_i M]
-        d_p.append(dp)
-        is_a.append(ind)
-        own.append(A * w + beta * g)  # what [j = a] multiplies in row i of C*(1 - A^2)
+    shocks = {"a": sq.big_gamma / math.sqrt(p), "sigma2": -a / math.sqrt(p)}
+    d_p = [stationary_gradient(params, coord).d_p for coord in unknown]
+    kappa = [1.0 if coord == "a" else 0.0 for coord in unknown]
+    eps = [shocks.get(coord, 0.0) for coord in unknown]
+    beta = [a * s2 * dp / p32 for dp in d_p]
+    # A * w_i, with w_i = E[Mdot_i M]
+    aw = [A * ((k * a * mu + (bt + e) * B) / (1.0 - a * A)) for k, bt, e in zip(kappa, beta, eps)]
     rest_scale = p * (1.0 - A * A)
     n = range(len(unknown))
     matrix = np.array([
         [
             d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4))
-            + (is_a[j] * own[i] + is_a[i] * own[j] + is_a[i] * is_a[j] * (mu + g * g)) / rest_scale
+            + (
+                (kappa[j] * aw[i] + eps[j] * beta[i])
+                + (kappa[i] * aw[j] + eps[i] * beta[j])
+                + (kappa[i] * kappa[j] * mu + eps[i] * eps[j])
+            ) / rest_scale
             for j in n
         ]
         for i in n

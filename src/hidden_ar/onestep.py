@@ -1,9 +1,9 @@
 """One-step maximum-likelihood estimator process.
 
-one_step fits it for every unknown set that has a Fisher information
-(model_core.INFORMATION_SETS: {b}, {f}, {a} and the pair (f, a)). The
-pipeline is a preliminary method-of-moments estimate, then a single Fisher
-scoring correction applied as a process in the upper time index,
+one_step fits it for every unknown set ParamProblem accepts, with the one
+Fisher information formula of model_core.fisher_info. The pipeline is a
+preliminary method-of-moments estimate, then a single Fisher scoring
+correction applied as a process in the upper time index,
 
     theta*_{t,T} = prelim + [I(prelim) (t - tau)]^{-1}
                    * sum_{s=tau+1..t} g_s(prelim),       t in [tau+2, T],
@@ -22,12 +22,13 @@ noisy for the scoring step to be effectively linear at practical horizons
 moment estimate shrinks that residual, but not equally for every
 coordinate. At a=0.5, b=f=sigma2=1, T=1e4 and R=300, t*Var/I^{-1} at t=T
 is 1.07 for b and for f, so the process attains the information bound
-there (acceptance criterion 07 checks b). For a it is 1.87-2.20 (seeds 5
-and 3) and 1.96 (seed 11), against 1.00 for the MLE on the same series:
-the residual of the noisier preliminary for a is still visible, and the ratio nears 1 only at longer horizons
-(about 1.1 at T=1e5). The learning index tau only sets where the
-correction sum starts. Every emitted point is clipped into the
-closed bounds box.
+there (acceptance criterion 07 checks b), and 1.03 for sigma2 (R=1000,
+seed 5). For a it is 1.87-2.20 (seeds 5 and 3) and 1.96 (seed 11), against
+1.00 for the MLE on the same series: the residual of the noisier
+preliminary for a is still visible, and the ratio nears 1 only at longer
+horizons (about 1.1 at T=1e5). The learning index tau only sets where the
+correction sum starts. Every emitted point is clipped into the closed
+bounds box.
 
 one_step's method selects an O(T) batch evaluation (cumulative sums) or
 the algebraically identical recurrent update
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooShort, as_series, as_whole
+from .errors import HorizonTooShort, as_real, as_series, as_whole
 from .kalman import _derivative_track, _stationary_means
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
 from .moments import MmeEstimate, mme
@@ -90,6 +91,7 @@ class EstimatorTrace:
 def learning_interval(horizon: int, delta: float) -> int:
     """tau = floor(T^delta), guarded against floating-point dips just below
     an exact integer power; requires a whole T with tau <= T - 2."""
+    delta = as_real("delta", delta)
     if not 0.5 < delta < 1.0:
         raise ValueError(f"need delta in (0.5, 1), got {delta}")
     horizon = as_whole("horizon", horizon)
@@ -131,8 +133,7 @@ def _score_increments(
 def one_step(
     x, problem: ParamProblem, delta: float = 0.6, method: str = "batch", prelim=None
 ) -> EstimatorTrace:
-    """One-step MLE process for an unknown set in INFORMATION_SETS ({b}, {f},
-    {a} or the pair (f, a)); any other set raises UnsupportedSet.
+    """One-step MLE process for the problem's unknown set.
 
     method is "batch" (cumulative sums) or "recurrent" (the running update).
     prelim, when given, replaces the moment preliminary with explicit values

@@ -244,6 +244,9 @@ class TestErrorReport:
             error_report(trace, [1.5])
         with pytest.raises(ValueError):
             error_report(trace, [0.0])
+        for bad in (True, "1.0", None):
+            with pytest.raises(ValueError, match="checkpoints must be a real number"):
+                error_report(trace, [bad])
 
     def test_run_without_truth_rejected(self, problem_b):
         x = simulate(REF, 2000, seed=91).x

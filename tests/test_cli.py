@@ -101,14 +101,23 @@ class TestFilter:
         assert (tmp_path / "filter.csv").exists()
 
     def test_derivative_track(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys,
-            ["filter", "--T", "200", "--wrt", "b", "--out", str(tmp_path)],
+        for wrt in ("b", "sigma2"):
+            code, _, _ = run_cli(
+                capsys,
+                ["filter", "--T", "200", "--wrt", wrt, "--out", str(tmp_path)],
+            )
+            assert code == 0
+            with open(tmp_path / "filter.csv", newline="") as fh:
+                header = fh.readline().strip().split(",")
+            assert f"dm_{wrt}" in header
+
+    def test_unknown_derivative_coordinate_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, ["filter", "--T", "200", "--wrt", "zz", "--out", str(tmp_path)]
         )
-        assert code == 0
-        with open(tmp_path / "filter.csv", newline="") as fh:
-            header = fh.readline().strip().split(",")
-        assert "dm_b" in header
+        assert code == 2
+        assert "unknown coordinate 'zz'" in err
+        assert not list(tmp_path.iterdir())
 
     def test_reads_data_csv(self, capsys, tmp_path):
         rng = np.random.default_rng(7)
@@ -224,12 +233,24 @@ class TestEstimators:
 
     @pytest.mark.parametrize("command", ["onestep", "adaptive"])
     def test_set_without_information_exit_2(self, capsys, tmp_path, command):
+        # Only a set ParamProblem rejects has no Fisher information.
         code, _, err = run_cli(
-            capsys, [command, "--T", "500", "--unknown", "sigma2", "--out", str(tmp_path)]
+            capsys, [command, "--T", "500", "--unknown", "a,b", "--out", str(tmp_path)]
         )
         assert code == 2
-        assert "Fisher information is not available" in err
+        assert "unsupported unknown set" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["onestep", "adaptive"])
+    @pytest.mark.parametrize("unknown", ["sigma2", "a,f,sigma2", "a,b,sigma2"])
+    def test_sets_with_sigma2_run(self, capsys, tmp_path, command, unknown):
+        code, lines, _ = run_cli(
+            capsys, [command, "--T", "2000", "--unknown", unknown, "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(list(tmp_path.iterdir())) == 1
+        if command == "onestep":
+            assert list(lines[-1]["final"]) == unknown.split(",")
 
 
 class TestAdaptive:
@@ -328,6 +349,10 @@ class TestMonteCarlo:
             (dict(_SMALL_CONFIG, estimators="mme"), "estimators must be a list"),
             ([_SMALL_CONFIG], "must hold a JSON object"),
             (dict(_SMALL_CONFIG, delta="0.6"), "delta must be a real number"),
+            (
+                dict(_SMALL_CONFIG, problem=dict(_SMALL_CONFIG["problem"], known=[1])),
+                "known must map coordinate names to values",
+            ),
         ],
     )
     def test_config_file_bad_field_exit_2(self, capsys, tmp_path, doc, message):
@@ -427,7 +452,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--unknown", "sigma2", "--bounds", "sigma2=0.1:5"], "onestep supports the unknown sets"),
+            (["--unknown", "a,f,sigma2", "--estimators", "onestep,mle"], "at most 2 unknowns"),
             (["--seed", "-1"], "seed must lie in"),
         ],
     )

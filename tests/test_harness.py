@@ -129,26 +129,20 @@ class TestConfig:
             with pytest.raises(ValueError):
                 small_config(horizons=(10,), checkpoints=(0.05, 1.0), estimators=(name,))
             small_config(horizons=(10,), checkpoints=(0.1, 1.0), estimators=(name,))
-        # Unknown sets an estimator cannot run on; mme takes all seven.
-        sigma2 = ParamProblem(unknown=("sigma2",), bounds={"sigma2": (0.1, 5.0)})
-        triple = ParamProblem(
-            unknown=("a", "f", "sigma2"),
-            bounds={"a": (-0.9, 0.9), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)},
-        )
-        for name in ("onestep", "adaptive"):
-            for problem in (sigma2, triple):
-                with pytest.raises(UnsupportedSet):
-                    small_config(problem=problem, estimators=(name,))
-        for name in ("mle", "bayes"):
-            small_config(problem=sigma2, estimators=(name,))
-            with pytest.raises(UnsupportedSet):
-                small_config(problem=triple, estimators=(name,))
+        # mme, onestep and adaptive take all seven unknown sets; the
+        # likelihood grid of mle and bayes takes at most two unknowns.
         bounds = {"a": (-0.9, 0.9), "b": (0.1, 5.0), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)}
         for unknown in (
             ("f",), ("b",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2")
         ):
             problem = ParamProblem(unknown=unknown, bounds={k: bounds[k] for k in unknown})
-            small_config(problem=problem, estimators=("mme",))
+            small_config(problem=problem, estimators=("mme", "onestep", "adaptive"))
+            for name in ("mle", "bayes"):
+                if len(unknown) <= 2:
+                    small_config(problem=problem, estimators=(name,))
+                else:
+                    with pytest.raises(UnsupportedSet, match=f"{name} takes at most 2 unknowns"):
+                        small_config(problem=problem, estimators=(name,))
         # Whole numbers only for horizons, replications and seed; seed >= 0.
         for bad in (
             {"replications": 2.5},
@@ -331,6 +325,21 @@ class TestAggregation:
             assert cell["target"] == pytest.approx(
                 np.linalg.inv(fisher_info(REF, config.problem.unknown)), rel=1e-12
             )
+
+    def test_sets_with_sigma2_get_onestep_targets(self):
+        # Every set has a Fisher information, so onestep cells carry the
+        # inverse-information target; s_star_limit covers b only, so the
+        # adaptive cells of these sets have none.
+        bounds = {"a": (-0.9, 0.9), "b": (0.1, 5.0), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)}
+        for unknown in (("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2")):
+            problem = ParamProblem(unknown=unknown, bounds={k: bounds[k] for k in unknown})
+            report = run_monte_carlo(small_config(problem=problem, replications=3, horizons=(2000,)))
+            assert all(cell["failures"] == 0 for cell in report.cells)
+            targets = np.linalg.inv(fisher_info(REF, unknown)).diagonal()
+            for k, coord in enumerate(unknown):
+                cells = [c for c in report.cells if (c["estimator"], c["coord"]) == ("onestep", coord)]
+                assert len(cells) == 2 and all(c["target"] == targets[k] for c in cells)
+            assert all(c["target"] is None for c in report.cells if c["estimator"] == "adaptive")
 
     def test_single_replication_var_is_sanitized(self):
         config = small_config(replications=1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hidden_ar import (
+    COORDINATES,
     NonFiniteObservations,
     SeriesTooShort,
     UnsupportedCoordinate,
@@ -71,6 +72,27 @@ def test_non_finite_start_rejected(case):
     x = simulate(REF, 400, seed=210).x
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_STARTS[case](x)
+
+
+# Every entry point with a scalar real argument, fed a string or a boolean,
+# which would otherwise run as a number or fail with a bare TypeError.
+NON_REAL_STARTS = {
+    "filter_stationary m0=True": lambda x: filter_stationary(REF, x, m0=True),
+    "filter_transient m0='0'": lambda x: filter_transient(REF, x, m0="0"),
+    "filter_transient gamma0=False": lambda x: filter_transient(REF, x, gamma0=False),
+    "filter_derivative m0='0.5'": lambda x: filter_derivative(REF, x, "b", m0="0.5"),
+    "filter_derivative dm0=True": lambda x: filter_derivative(REF, x, "b", dm0=True),
+    "one_step delta='0.6'": lambda x: one_step(x, PROBLEM_B, "0.6"),
+    "adaptive_filter delta='0.6'": lambda x: adaptive_filter(x, PROBLEM_B, "0.6"),
+    "adaptive_filter frozen delta=True": lambda x: adaptive_filter(x, PROBLEM_B, True, frozen_at=REF),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_REAL_STARTS))
+def test_non_real_start_rejected(case):
+    x = simulate(REF, 400, seed=210).x
+    with pytest.raises(ValueError, match="must be a real number"):
+        NON_REAL_STARTS[case](x)
 
 
 def reference_transient(params, x, m0=0.0, gamma0=0.0):
@@ -166,7 +188,7 @@ class TestDerivativeFilter:
         for _ in range(15):
             params = random_params(rng)
             x = simulate(params, 400, seed=int(rng.integers(1 << 30))).x
-            for wrt in ("f", "b", "a"):
+            for wrt in COORDINATES:
                 trace = filter_derivative(params, x, wrt)
                 v = getattr(params, wrt)
                 h = 1e-5 * max(1.0, abs(v))
@@ -184,10 +206,11 @@ class TestDerivativeFilter:
         np.testing.assert_array_equal(der.m, stat.m)
         np.testing.assert_array_equal(der.innovations, stat.innovations)
 
-    def test_sigma2_rejected(self):
+    def test_unknown_coordinate_rejected(self):
         x = simulate(REF, 50, seed=24).x
-        with pytest.raises(UnsupportedCoordinate):
-            filter_derivative(REF, x, "sigma2")
+        for wrt in ("zz", "Sigma2", ""):
+            with pytest.raises(UnsupportedCoordinate):
+                filter_derivative(REF, x, wrt)
 
 
 class TestFilterCsv:

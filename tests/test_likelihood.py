@@ -192,6 +192,15 @@ class TestBayes:
         with pytest.raises(ValueError):
             bayes(x, problem_b, prior=((0.1, 0.0), (5.0, 1.0)))
 
+    def test_non_finite_prior_rejected(self, problem_b):
+        # A NaN or infinite abscissa used to run; an infinite density raised
+        # DegeneratePosterior, a numerical failure, for an input mistake.
+        x = simulate(REF, 100, seed=71).x
+        for bad in (math.nan, math.inf, -math.inf):
+            for prior in (((0.1, 1.0), (bad, 1.0), (5.0, 1.0)), ((0.1, 1.0), (2.0, bad), (5.0, 1.0))):
+                with pytest.raises(ValueError, match="must be finite"):
+                    bayes(x, problem_b, prior=prior)
+
     def test_mean_stays_in_box_with_all_mass_on_an_edge(self):
         # On this series the posterior puts all its mass on the upper f edge;
         # the weighted mean of the nodes used to round one ulp past it.

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from hidden_ar import (
+    ExperimentConfig,
     FisherSingular,
     HorizonTooShort,
     ModelParams,
     ParamProblem,
-    UnsupportedSet,
     fisher_info,
     learning_interval,
     mme,
     one_step,
+    run_monte_carlo,
     simulate,
 )
 from hidden_ar.cli import main
@@ -36,6 +37,9 @@ class TestLearningInterval:
     def test_delta_range(self):
         for bad in (0.5, 1.0, 0.3, 1.4):
             with pytest.raises(ValueError):
+                learning_interval(1000, bad)
+        for bad in ("0.6", True, None):
+            with pytest.raises(ValueError, match="delta must be a real number"):
                 learning_interval(1000, bad)
 
     def test_whole_horizon_required(self):
@@ -195,11 +199,16 @@ class TestOneStepPair:
 
 
 @pytest.mark.parametrize("unknown", [("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2")])
-def test_sets_without_information_rejected(unknown):
-    # The process needs the Fisher information, which these sets lack.
+def test_sets_with_sigma2_run(unknown):
+    # fisher_info covers every set ParamProblem accepts, so the process runs
+    # on the sets with sigma2 too, and its two forms agree.
     x = simulate(REF, 1000, seed=54).x
-    with pytest.raises(UnsupportedSet, match="Fisher information"):
-        one_step(x, problem_for(REF, unknown))
+    problem = problem_for(REF, unknown)
+    batch = one_step(x, problem)
+    rec = one_step(x, problem, method="recurrent")
+    assert batch.path.shape == (1000 - batch.tau - 1, len(unknown))
+    assert np.isfinite(batch.path).all()
+    assert float(np.abs(batch.path - rec.path).max()) < 1e-12
 
 
 class TestEfficiencySmoke:
@@ -212,6 +221,23 @@ class TestEfficiencySmoke:
             final.append(one_step(x, problem_b).theta_at(4000)[0])
         ratio = 4000 * float(np.var(final, ddof=1)) / REF_VALUES["inv_info_b"]
         assert 0.5 < ratio < 1.8, ratio
+
+    def test_sigma2_ratio_in_criterion_07_band(self):
+        # The Monte Carlo check of criterion 07, run for sigma2: t*Var/I^{-1}
+        # at t=T was 1.03 at this seed and 1.01 at seed 11.
+        config = ExperimentConfig(
+            params=REF,
+            problem=ParamProblem(unknown=("sigma2",), bounds={"sigma2": (0.1, 5.0)}),
+            horizons=(10000,),
+            replications=1000,
+            checkpoints=(1.0,),
+            seed=5,
+            estimators=("onestep",),
+        )
+        (cell,) = run_monte_carlo(config).cells
+        assert cell["failures"] == 0 and cell["n"] == 1000
+        assert 0.90 <= cell["ratio"] <= 1.10, cell["ratio"]
+        assert cell["ks_pvalue"] > 0.01, cell["ks_pvalue"]
 
 
 class TestEstimatorCsv:

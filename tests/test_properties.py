@@ -17,7 +17,6 @@ from hidden_ar import (
     one_step,
     simulate,
 )
-from hidden_ar.model_core import INFORMATION_SETS
 
 from conftest import plugged_recursion, problem_for
 
@@ -82,7 +81,7 @@ def test_mme(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=case_st(INFORMATION_SETS))
+@given(case=case_st(ALL_SETS))
 def test_one_step(case):
     _, problem, x = case
     trace = _run(lambda: one_step(x, problem))
@@ -92,7 +91,7 @@ def test_one_step(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=case_st(INFORMATION_SETS))
+@given(case=case_st(ALL_SETS))
 def test_adaptive_filter(case):
     params, problem, x = case
     trace = _run(lambda: adaptive_filter(x, problem, truth=params))
