@@ -15,13 +15,12 @@ runs all three steps and returns the one-step path it fitted. The recursion
 is computed as one bidiagonal solve, which is exact: with |A| < 1 LAPACK's
 dgtsv never pivots and does the recursion's own multiply and add.
 
-For unknown b the normalized excess risk t * E(m*_t - m_t(theta_0))^2
-converges to
-
-    S*^2 = Bdot*^2 / (I_b (1 - A^2)),   Bdot* = sqrt(P) * d e / d b,
-
-which is a f sigma2 gammadot* / P^(3/2). For f and a the derivative track
-carries a term in m that this formula omits, so s_star_limit rejects them.
+For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
+S*^2 = tr(I^{-1} D), with D = E[dm dm^T] the stationary covariance of the
+derivative of m_t in the unknown coordinates at the true point (see
+s_star_limit). At a=0.5, b=f=sigma2=1 it is 2/9 for b, 0.0440 for f, 2.014
+for a, 0.2161 for sigma2, 3.092 for (f, a), 8.496 for (a, f, sigma2) and
+4.266 for (a, b, sigma2).
 """
 
 from __future__ import annotations
@@ -32,15 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import UnsupportedSet, as_real, as_series
+from .errors import as_real, as_series
 from .kalman import filter_stationary
 from .model_core import (
     ModelParams,
     ParamProblem,
+    _track_moments,
     fisher_info,
-    stationary,
     stationary_from,
-    stationary_gradient,
     validate,
 )
 from .onestep import EstimatorTrace, learning_interval, one_step
@@ -149,20 +147,23 @@ def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
 
 
 def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
-    """The limit of t * E(m*_t - m_t)^2 for the unknown set ("b",);
-    UnsupportedSet for any other.
+    """The limit S*^2 = tr(I^{-1} D) of t * E(m*_t - m_t)^2 for an unknown set
+    in canonical order (else UnsupportedSet; FisherSingular where I is).
 
-    The formula keeps only the innovation-driven part of the derivative
-    track dm. At the true point dm_t = A dm_{t-1} + (Adot + f edot) m_{t-1}
-    + edot sqrt(P) z_t, and the m-term vanishes only for b (A + f e = a):
-    for f and a the formula misses it, so those sets are rejected.
+    To first order m*_t - m_t = dm_t^T (theta_hat - theta_0); the factors
+    become independent and sqrt(t) (theta_hat - theta_0) -> N(0, I^{-1}), so
+    the limit is tr(I^{-1} D) with D = E[dm dm^T]. As m = M/f,
+    dm_i = (Mdot_i - [i = f] M/f)/f, and fisher_info's moments
+    C = E[Mdot Mdot^T], w_i = E[Mdot_i M] and mu = E[M^2] give
+
+        D = (C - phi w^T - w phi^T + mu phi phi^T) / f^2,   phi_i = [i = f]/f.
     """
-    if unknown != ("b",):
-        raise UnsupportedSet(f"s_star_limit supports ('b',); got {unknown!r}")
-    sq = stationary(params)
-    grad = stationary_gradient(params, "b")
-    info = float(fisher_info(params, unknown)[0, 0])
-    return grad.d_b_coef * grad.d_b_coef / (info * (1.0 - sq.a_coef * sq.a_coef))
+    sq, _, beta, w, mu, cross = _track_moments(params, unknown)
+    phi = np.array([1.0 / params.f if coord == "f" else 0.0 for coord in unknown])
+    c = (np.outer(beta, beta) + cross) / (1.0 - sq.a_coef * sq.a_coef)
+    d = (c - np.outer(phi, w) - np.outer(w, phi) + mu * np.outer(phi, phi)) / (params.f * params.f)
+    # Rounding among subnormal entries of D (|a| < 1e-154) can go below 0.
+    return max(float(np.linalg.solve(fisher_info(params, unknown), d).trace()), 0.0)
 
 
 def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
@@ -174,6 +175,8 @@ def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
     """
     if trace.truth is None:
         raise ValueError("the adaptive run has no truth to score against; pass truth= to adaptive_filter")
+    if np.ndim(checkpoints) != 1:
+        raise ValueError(f"checkpoints must be a list of numbers, got {checkpoints!r}")
     horizon = trace.horizon
     truth_values = trace.problem.values_of(trace.truth)
     rows: list[dict[str, float]] = []

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .adaptive import adaptive_filter, error_report, s_star_limit
-from .errors import HiddenArError, UnsupportedSet, as_series
+from .errors import HiddenArError, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo, write_columns
 from .kalman import filter_derivative, filter_stationary
 from .likelihood import bayes, log_likelihood, mle
@@ -228,7 +228,7 @@ def _cmd_adaptive(args) -> int:
         "oracle_m": blank,
         "sq_error": blank,
     }
-    summary = {"tau": trace.tau, "s_star_limit": None}
+    summary = {"tau": trace.tau, "s_star_limit": s_star_limit(params, problem.unknown)}
     if truth is not None:
         diff = trace.m_star - trace.oracle_m[start:]
         columns["oracle_m"] = trace.oracle_m[start:].tolist()
@@ -237,10 +237,6 @@ def _cmd_adaptive(args) -> int:
         summary["normalized_filter_error"] = row["filter_error"]
         summary["normalized_estimator_error"] = row["estimator_error"]
     summary["written"] = _write(args.out, "adaptive.csv", columns)
-    try:
-        summary["s_star_limit"] = s_star_limit(params, problem.unknown)
-    except UnsupportedSet:
-        pass
     _print(summary)
     return 0
 

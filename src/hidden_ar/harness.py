@@ -79,6 +79,9 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("onestep", "adaptive")
 
     def __post_init__(self):
+        for name, kind in (("params", ModelParams), ("problem", ParamProblem)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("horizons", "checkpoints", "estimators"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
@@ -206,8 +209,9 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
 
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
     """One replication's rows; a pure function of (config, indices), so any
-    row can be regenerated in isolation from its stream id. Indices outside
-    the config raise ValueError."""
+    row can be regenerated in isolation from its stream id. Indices that
+    are not whole numbers or lie outside the config raise ValueError."""
+    horizon_index, rep = as_whole("horizon_index", horizon_index), as_whole("rep", rep)
     if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
         raise ValueError(f"indices ({horizon_index}, {rep}) lie outside the config's horizons or replications")
     horizon = config.horizons[horizon_index]
@@ -263,14 +267,12 @@ def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:
     out: dict[tuple[str, str], float | None] = {}
     try:
         inv_diagonal = np.linalg.inv(fisher_info(config.params, problem.unknown)).diagonal().tolist()
+        s_star = s_star_limit(config.params, problem.unknown) if "adaptive" in config.estimators else None
     except FisherSingular:
-        inv_diagonal = [None] * problem.dim
+        inv_diagonal, s_star = [None] * problem.dim, None
     for name in config.estimators:
         if name == "adaptive":
-            try:
-                out[(name, "m")] = s_star_limit(config.params, problem.unknown)
-            except (UnsupportedSet, FisherSingular):
-                out[(name, "m")] = None
+            out[(name, "m")] = s_star
             continue
         # mme is consistent but not efficient: it has no target.
         for coord, target in zip(problem.unknown, inv_diagonal):

@@ -25,7 +25,9 @@ formula,
     I_ij = (C_ij + Pdot_i * Pdot_j / (2P)) / P,   C = E[Mdot Mdot^T],
 
 with Mdot_i the derivative of the prediction f*m_t in coordinate i and C
-its stationary second moments (derivation in fisher_info).
+its stationary second moments (derivation in fisher_info). _track_moments
+solves C, w_i = E[Mdot_i M] and mu = E[M^2]; fisher_info and
+adaptive.s_star_limit share it.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ class ParamProblem:
     known: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.unknown, (str, list, tuple)):
+            raise ValueError(f"unknown must be a coordinate name or a list of them, got {self.unknown!r}")
         names = (self.unknown,) if isinstance(self.unknown, str) else tuple(self.unknown)
         for name in names:
             if name not in COORDINATES:
@@ -148,7 +152,10 @@ class ParamProblem:
         for name in self.unknown:
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for unknown coordinate {name!r}")
-            lo, hi = (as_real(f"bounds of {name}", v) for v in self.bounds[name])
+            pair = self.bounds[name]
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"bounds of {name} must be a (lo, hi) pair, got {pair!r}")
+            lo, hi = (as_real(f"bounds of {name}", v) for v in pair)
             _check_interval(name, lo, hi)
             bounds[name] = (lo, hi)
         extra = set(self.bounds) - set(self.unknown)
@@ -385,6 +392,27 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
 # Fisher information
 # ---------------------------------------------------------------------------
 
+def _track_moments(params: ModelParams, unknown: tuple[str, ...]):
+    """(sq, Pdot, beta, w, mu, cross) of fisher_info's derivation, as lists
+    over a supported unknown set in canonical order (else UnsupportedSet),
+    with C = (beta beta^T + cross)/(1 - A^2): cross holds the kappa/eps terms."""
+    if _SUPPORTED_SETS.get(frozenset(unknown)) != unknown:
+        raise UnsupportedSet(f"{unknown} is not a supported unknown set in canonical order")
+    sq = stationary(params)
+    a, A, B, root_p = params.a, sq.a_coef, sq.b_coef, math.sqrt(sq.p)
+    mu = B * B / (1.0 - a * a)
+    shocks = {"a": sq.big_gamma / root_p, "sigma2": -a / root_p}
+    d_p = [stationary_gradient(params, coord).d_p for coord in unknown]
+    kappa = [1.0 if coord == "a" else 0.0 for coord in unknown]
+    eps = [shocks.get(coord, 0.0) for coord in unknown]
+    beta = [a * params.sigma2 * dp / (sq.p * root_p) for dp in d_p]
+    w = [(k * a * mu + (bt + e) * B) / (1.0 - a * A) for k, bt, e in zip(kappa, beta, eps)]
+    n = range(len(unknown))
+    half = [[kappa[j] * (A * w[i]) + eps[j] * beta[i] for j in n] for i in n]
+    cross = [[half[i][j] + half[j][i] + (kappa[i] * kappa[j] * mu + eps[i] * eps[j]) for j in n] for i in n]
+    return sq, d_p, beta, w, mu, cross
+
+
 def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     """Fisher information matrix per observation at ``params``, shape
     (dim, dim), rows and columns in the order of ``unknown``, which must be
@@ -416,43 +444,21 @@ def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     the remaining terms are exactly 0.0 for b and f, where the closed form
     stands alone.
 
-    Raises FisherSingular unless trace(I) > 0 and
-    det(I) >= 1e-12 * trace(I)^(2 (dim - 1)): I >= 1e-12 for one coordinate,
-    det/trace^2 >= 1e-12 (positive definite, condition number below about
-    1e12) for a pair.
+    Raises FisherSingular unless trace(I) > 0 and det(I) >= 1e-12 for one
+    coordinate, det(I)/trace(I)^dim >= 1e-12 for several (positive definite,
+    condition number below about 1e12 for a pair). The ratio has degree 0 in
+    I, so that rule does not depend on the scale of the information.
     """
-    if _SUPPORTED_SETS.get(frozenset(unknown)) != unknown:
-        raise UnsupportedSet(f"{unknown} is not a supported unknown set in canonical order")
-    sq = stationary(params)
-    a, s2 = params.a, params.sigma2
-    A, B, p = sq.a_coef, sq.b_coef, sq.p
-    p2 = p * p
-    as4 = (a * s2) ** 2
-    p32 = p * math.sqrt(p)
-    mu = B * B / (1.0 - a * a)  # E[M^2]
-    shocks = {"a": sq.big_gamma / math.sqrt(p), "sigma2": -a / math.sqrt(p)}
-    d_p = [stationary_gradient(params, coord).d_p for coord in unknown]
-    kappa = [1.0 if coord == "a" else 0.0 for coord in unknown]
-    eps = [shocks.get(coord, 0.0) for coord in unknown]
-    beta = [a * s2 * dp / p32 for dp in d_p]
-    # A * w_i, with w_i = E[Mdot_i M]
-    aw = [A * ((k * a * mu + (bt + e) * B) / (1.0 - a * A)) for k, bt, e in zip(kappa, beta, eps)]
-    rest_scale = p * (1.0 - A * A)
+    sq, d_p, _, _, _, cross = _track_moments(params, unknown)
+    p2 = sq.p * sq.p
+    as4 = (params.a * params.sigma2) ** 2
+    rest_scale = sq.p * (1.0 - sq.a_coef * sq.a_coef)
     n = range(len(unknown))
-    matrix = np.array([
-        [
-            d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4))
-            + (
-                (kappa[j] * aw[i] + eps[j] * beta[i])
-                + (kappa[i] * aw[j] + eps[i] * beta[j])
-                + (kappa[i] * kappa[j] * mu + eps[i] * eps[j])
-            ) / rest_scale
-            for j in n
-        ]
-        for i in n
-    ])
-    trace = float(np.trace(matrix))
-    det = float(np.linalg.det(matrix))
-    if not (trace > 0.0 and det >= 1e-12 * trace ** (2 * len(unknown) - 2)):
+    matrix = np.array(
+        [[d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4)) + cross[i][j] / rest_scale for j in n] for i in n]
+    )
+    trace = float(matrix.trace())
+    scale = trace ** len(unknown) if len(unknown) > 1 else 1.0
+    if not (trace > 0.0 and np.linalg.det(matrix) >= 1e-12 * scale):
         raise FisherSingular(f"information for {unknown} is singular or near-singular: {matrix.tolist()}")
     return matrix

@@ -8,6 +8,9 @@ import pytest
 
 from hidden_ar import ModelParams, ParamProblem, stationary_from
 
+# Every unknown set ParamProblem accepts, in canonical order.
+ALL_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2"))
+
 # Reference point used throughout the verification experiments.
 REF = ModelParams(a=0.5, b=1.0, f=1.0, sigma2=1.0)
 

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from hidden_ar import (
+    ExperimentConfig,
+    FisherSingular,
+    ParamProblem,
     UnsupportedSet,
     adaptive_filter,
     error_report,
     filter_stationary,
+    fisher_info,
     learning_interval,
     one_step,
+    run_monte_carlo,
     s_star_limit,
     simulate,
     stationary,
@@ -22,6 +27,7 @@ from hidden_ar.cli import main
 from hidden_ar.adaptive import _recursion
 
 from conftest import (
+    ALL_SETS,
     REF,
     REF_VALUES,
     plugged_recursion,
@@ -179,9 +185,9 @@ class TestSStarLimit:
         assert got == pytest.approx(2.0 / 9.0, abs=1e-14)
 
     def test_other_coordinates_positive(self):
-        # The formula keeps only the innovation-driven part of the derivative
-        # track; its m-driven coefficient Adot + f*edot is 0 for b but has a
-        # positive size for f (-e) and a (1), so those sets are rejected.
+        # The derivative track dm_t = A dm_{t-1} + (Adot + f*edot) m_{t-1}
+        # + edot sqrt(P) z_t carries an m-driven term for f (-e) and a (1),
+        # absent only for b; the limit covers it through D = E[dm dm^T].
         rng = np.random.default_rng(121)
         for params in [REF] + [random_params(rng) for _ in range(20)]:
             sq = stationary(params)
@@ -194,20 +200,58 @@ class TestSStarLimit:
             assert m_term["f"] == pytest.approx(-sq.gain, rel=1e-9, abs=1e-12)
             assert abs(m_term["a"]) > 0.0
             assert m_term["a"] == pytest.approx(1.0, rel=1e-9)
-            for unknown in (("f",), ("a",)):
-                with pytest.raises(UnsupportedSet):
-                    s_star_limit(params, unknown)
+            for unknown in (("f",), ("a",), ("f", "a")):
+                got = s_star_limit(params, unknown)
+                assert np.isfinite(got) and got > 0.0
+
+    def test_reference_values_every_set(self):
+        want = {
+            ("f",): 0.0440,
+            ("a",): 2.014,
+            ("sigma2",): 0.2161,
+            ("f", "a"): 3.092,
+            ("a", "f", "sigma2"): 8.496,
+            ("a", "b", "sigma2"): 4.266,
+        }
+        for unknown, value in want.items():
+            assert s_star_limit(REF, unknown) == pytest.approx(value, abs=6e-4 * value)
+
+    def test_matches_spectral_formula(self):
+        # Independent oracle for D = E[dm dm^T]: m is x filtered by
+        # H(w) = e / (1 - A e^{-iw}), so dm_i is x filtered by
+        # H_i = d_i H = edot_i / (1 - A z) + e Adot_i z / (1 - A z)^2,
+        # z = e^{-iw}, and D_ij = (1/2pi) int Re(H_i conj(H_j)) S dw with
+        # S(w) = f^2 b^2 / |1 - a z|^2 + sigma2. The integrand is smooth and
+        # 2pi-periodic, so the mean over equally spaced nodes converges
+        # geometrically.
+        w = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        z = np.exp(-1j * w)
+        rng = np.random.default_rng(122)
+        for params in [REF] + [random_params(rng) for _ in range(100)]:
+            sq = stationary(params)
+            spec = params.f**2 * params.b**2 / np.abs(1.0 - params.a * z) ** 2 + params.sigma2
+            for unknown in ALL_SETS:
+                try:
+                    info = fisher_info(params, unknown)
+                except FisherSingular:
+                    with pytest.raises(FisherSingular):
+                        s_star_limit(params, unknown)
+                    continue
+                pole = 1.0 - sq.a_coef * z
+                grads = [stationary_gradient(params, coord) for coord in unknown]
+                h = np.array([g.d_gain / pole + sq.gain * g.d_a_coef * z / pole**2 for g in grads])
+                d = np.mean((h[:, None, :] * h[None, :, :].conj()).real * spec, axis=2)
+                want = np.trace(np.linalg.solve(info, d))
+                # The oracle's entries carry rounding of order 1e-15, which
+                # I^{-1} may amplify by up to its condition number where a
+                # triple's information is ill-conditioned (near a = 0).
+                rel = max(1e-11, 1e-15 * np.linalg.cond(info))
+                assert s_star_limit(params, unknown) == pytest.approx(want, rel=rel), (params, unknown)
 
     def test_unsupported(self):
-        # The formula omits the m-driven term of the f and a derivative tracks.
+        # An unknown set must be a supported set in canonical order.
         with pytest.raises(UnsupportedSet):
-            s_star_limit(REF, ("f",))
-        with pytest.raises(UnsupportedSet):
-            s_star_limit(REF, ("a",))
-        with pytest.raises(UnsupportedSet):
-            s_star_limit(REF, ("f", "a"))
-        with pytest.raises(UnsupportedSet):
-            s_star_limit(REF, ("sigma2",))
+            s_star_limit(REF, ("a", "f"))
         with pytest.raises(UnsupportedSet):
             s_star_limit(REF, "b")  # a coordinate name is not an unknown set
 
@@ -247,6 +291,9 @@ class TestErrorReport:
         for bad in (True, "1.0", None):
             with pytest.raises(ValueError, match="checkpoints must be a real number"):
                 error_report(trace, [bad])
+        for bad in (1.0, "1.0", [[1.0]]):
+            with pytest.raises(ValueError, match="checkpoints must be a list of numbers"):
+                error_report(trace, bad)
 
     def test_run_without_truth_rejected(self, problem_b):
         x = simulate(REF, 2000, seed=91).x
@@ -270,6 +317,22 @@ class TestExcessRisk:
             errs.append(t * diff * diff)
         ratio = float(np.mean(errs)) / target
         assert 0.35 < ratio < 2.2, ratio
+
+    @pytest.mark.parametrize("unknown", ["f", "sigma2"])
+    def test_harness_ratio_near_one(self, unknown):
+        # The harness's adaptive:m ratio t * E(m*_t - m_t)^2 / S*^2 at both
+        # checkpoints. The band is about 3.5 standard errors at R=1000 and
+        # excludes the b-only formula's value for f, ten times too small.
+        problem = ParamProblem(unknown=(unknown,), bounds={unknown: (0.1, 5.0)})
+        config = ExperimentConfig(
+            params=REF, problem=problem, horizons=(10000,), replications=1000, seed=5, estimators=("adaptive",)
+        )
+        cells = [c for c in run_monte_carlo(config).cells if c["coord"] == "m"]
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell["failures"] == 0
+            assert cell["target"] == s_star_limit(REF, (unknown,))
+            assert 0.7 <= cell["ratio"] <= 1.3, cell
 
 
 class TestAdaptiveCsv:

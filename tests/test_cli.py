@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import hidden_ar.adaptive as adaptive_mod
+from hidden_ar import s_star_limit
 from hidden_ar.cli import build_parser, main
 
-from conftest import REF_VALUES, write_series_csv
+from conftest import REF, REF_VALUES, write_series_csv
 
 
 def run_cli(capsys, argv):
@@ -278,12 +279,12 @@ class TestAdaptive:
         assert code == 0
         assert "normalized_filter_error" not in lines[-1]
 
-    def test_no_s_star_limit_outside_b(self, capsys, tmp_path):
+    def test_s_star_limit_outside_b(self, capsys, tmp_path):
         code, lines, _ = run_cli(
-            capsys, ["adaptive", "--T", "600", "--unknown", "a", "--out", str(tmp_path)]
+            capsys, ["adaptive", "--T", "600", "--unknown", "f,a", "--out", str(tmp_path)]
         )
         assert code == 0
-        assert lines[-1]["s_star_limit"] is None
+        assert lines[-1]["s_star_limit"] == s_star_limit(REF, ("f", "a"))
 
 
 _SMALL_CONFIG = {

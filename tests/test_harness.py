@@ -22,7 +22,7 @@ from hidden_ar import (
     stationary,
 )
 import hidden_ar.adaptive as adaptive_mod
-from hidden_ar.harness import _ks_normal, write_columns
+from hidden_ar.harness import _ks_normal, _targets, write_columns
 
 from conftest import REF
 
@@ -168,6 +168,14 @@ class TestConfig:
         assert coerced.horizons == (400,) and type(coerced.horizons[0]) is int
         assert type(coerced.replications) is int and type(coerced.seed) is int
 
+    def test_params_and_problem_must_be_built(self):
+        # A JSON document goes through from_dict; the constructor itself
+        # takes the built objects.
+        doc = small_config().to_dict()
+        for name in ("params", "problem"):
+            with pytest.raises(ValueError, match=f"{name} must be a"):
+                small_config(**{name: doc[name]})
+
     def test_problem_completed_at_construction(self):
         config = small_config()
         assert config.problem.known == {"a": 0.5, "f": 1.0, "sigma2": 1.0}
@@ -215,6 +223,14 @@ class TestReplication:
         for indices in ((0, 2), (1, -1), (2, 0), (-1, 0)):
             with pytest.raises(ValueError, match="outside the config"):
                 run_replication(config, *indices)
+
+    def test_indices_must_be_whole_numbers(self):
+        # True would otherwise index horizon 1; an integral float is a count.
+        config = small_config(horizons=(300, 400), replications=2)
+        for indices, name in (((True, 0), "horizon_index"), ((0.5, 0), "horizon_index"), ((0, "1"), "rep")):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                run_replication(config, *indices)
+        assert run_replication(config, 1.0, 0) == run_replication(config, 1, 0)
 
     def test_onestep_rows_same_with_and_without_adaptive(self):
         # With adaptive selected, the onestep rows come from the track the
@@ -328,8 +344,7 @@ class TestAggregation:
 
     def test_sets_with_sigma2_get_onestep_targets(self):
         # Every set has a Fisher information, so onestep cells carry the
-        # inverse-information target; s_star_limit covers b only, so the
-        # adaptive cells of these sets have none.
+        # inverse-information target and adaptive cells carry S*^2.
         bounds = {"a": (-0.9, 0.9), "b": (0.1, 5.0), "f": (0.1, 5.0), "sigma2": (0.1, 5.0)}
         for unknown in (("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2")):
             problem = ParamProblem(unknown=unknown, bounds={k: bounds[k] for k in unknown})
@@ -339,7 +354,19 @@ class TestAggregation:
             for k, coord in enumerate(unknown):
                 cells = [c for c in report.cells if (c["estimator"], c["coord"]) == ("onestep", coord)]
                 assert len(cells) == 2 and all(c["target"] == targets[k] for c in cells)
-            assert all(c["target"] is None for c in report.cells if c["estimator"] == "adaptive")
+            m_cells = [c for c in report.cells if (c["estimator"], c["coord"]) == ("adaptive", "m")]
+            assert len(m_cells) == 2 and all(c["target"] == s_star_limit(REF, unknown) for c in m_cells)
+
+    def test_singular_information_gives_no_targets(self):
+        # At a = 0 a triple's information is singular: neither the onestep
+        # cells nor the adaptive cells get a target.
+        problem = ParamProblem(
+            unknown=("a", "b", "sigma2"), bounds={"a": (-0.9, 0.9), "b": (0.1, 5.0), "sigma2": (0.1, 5.0)}
+        )
+        config = small_config(params=REF.replace(a=0.0), problem=problem)
+        targets = _targets(config)
+        assert set(targets) == {("onestep", "a"), ("onestep", "b"), ("onestep", "sigma2"), ("adaptive", "m")}
+        assert all(target is None for target in targets.values())
 
     def test_single_replication_var_is_sanitized(self):
         config = small_config(replications=1)

@@ -24,9 +24,7 @@ from hidden_ar import (
     validate,
 )
 
-from conftest import REF, REF_VALUES, random_params
-
-ALL_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2"))
+from conftest import ALL_SETS, REF, REF_VALUES, random_params
 
 
 def riccati_fixed_point(params: ModelParams) -> float:
@@ -145,6 +143,14 @@ class TestParamProblem:
                 ParamProblem(unknown=("b",), bounds=bad)
         # An omitted known (None or empty) is filled by validate later.
         assert ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}, known=None).known == {}
+
+    def test_malformed_unknown_and_bounds_rejected(self):
+        for bad in (None, 5, 1.5):
+            with pytest.raises(ValueError, match="unknown must be a coordinate name or a list"):
+                ParamProblem(unknown=bad, bounds={"b": (0.1, 5.0)})
+        for bad in (5, (0.1, 1.0, 2.0), (0.1,), "0.1:5", None):
+            with pytest.raises(ValueError, match="bounds of b must be a \\(lo, hi\\) pair"):
+                ParamProblem(unknown=("b",), bounds={"b": bad})
 
     def test_point_and_values_roundtrip(self, problem_fa):
         params = problem_fa.point(np.array([1.3, -0.2]))
@@ -387,6 +393,16 @@ class TestFisherInfo:
                     continue
                 scale = np.sqrt(np.outer(np.diag(got), np.diag(got)))
                 assert (np.abs(got - want) <= 1e-10 * scale).all(), (params, unknown, got, want)
+
+    def test_singularity_rule_is_scale_free(self):
+        # The cutoff is on det/trace^dim, which has degree 0 in I: a
+        # triple's verdict follows its conditioning, not its scale.
+        accepted = ModelParams(a=-0.725, b=0.258, f=0.052, sigma2=0.083)
+        info = fisher_info(accepted, ("a", "b", "sigma2"))
+        assert np.linalg.cond(info) < 1e7
+        rejected = ModelParams(a=0.043, b=0.121, f=0.242, sigma2=19.646)
+        with pytest.raises(FisherSingular):
+            fisher_info(rejected, ("a", "b", "sigma2"))
 
     def test_positive_on_admissible_points(self):
         # The scalar informations stay strictly positive over the admissible

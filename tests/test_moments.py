@@ -6,17 +6,7 @@ import pytest
 from hidden_ar import SeriesTooShort, mme, phi, simulate
 from hidden_ar.moments import MomentStats, _invert, s_statistics
 
-from conftest import REF, REF_VALUES, problem_for, random_params
-
-ALL_SETS = (
-    ("b",),
-    ("f",),
-    ("a",),
-    ("sigma2",),
-    ("f", "a"),
-    ("a", "f", "sigma2"),
-    ("a", "b", "sigma2"),
-)
+from conftest import ALL_SETS, REF, REF_VALUES, problem_for, random_params
 
 
 def exact_stats(params) -> MomentStats:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidden_ar import (
+    FisherSingular,
     HiddenArError,
     ModelParams,
     adaptive_filter,
@@ -15,12 +16,12 @@ from hidden_ar import (
     mle,
     mme,
     one_step,
+    s_star_limit,
     simulate,
 )
 
-from conftest import plugged_recursion, problem_for
+from conftest import ALL_SETS, plugged_recursion, problem_for
 
-ALL_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2"))
 GRID_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"))
 
 params_st = st.builds(
@@ -102,6 +103,18 @@ def test_adaptive_filter(case):
         assert np.isfinite(trace.m_star).all()
         assert np.isfinite(trace.oracle_m).all()
         _assert_estimates(trace.theta_plug, problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=params_st, unknown=st.sampled_from(ALL_SETS))
+def test_s_star_limit(params, unknown):
+    try:
+        value = s_star_limit(params, unknown)
+    except FisherSingular:
+        return
+    # 0 is attained: at a = 0 the filter's mean is 0 whatever b, f and
+    # sigma2 are, and for |a| near 1e-160 the excess risk underflows.
+    assert np.isfinite(value) and value >= 0.0
 
 
 @settings(max_examples=60, deadline=None)
