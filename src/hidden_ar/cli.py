@@ -228,8 +228,9 @@ def _cmd_adaptive(args) -> int:
         "oracle_m": blank,
         "sq_error": blank,
     }
-    summary = {"tau": trace.tau, "s_star_limit": s_star_limit(params, problem.unknown)}
+    summary = {"tau": trace.tau}
     if truth is not None:
+        summary["s_star_limit"] = s_star_limit(params, problem.unknown)
         diff = trace.m_star - trace.oracle_m[start:]
         columns["oracle_m"] = trace.oracle_m[start:].tolist()
         columns["sq_error"] = (diff * diff).tolist()

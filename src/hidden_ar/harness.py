@@ -9,6 +9,13 @@ itself (rows with coord "y", risk level gamma* + S*^2/t). Replications draw
 from counter-based streams keyed (seed, stream) with
 stream = horizon_index * R + rep, so any replication can be reproduced in
 isolation, and the report is bit-identical across runs.
+
+The report is JSON-ready as it is built. A non-finite row value (an
+estimate, or an adaptive filter error) fails its replication, which becomes
+an error row with the message.
+A statistic that is undefined is None where it is computed: a cell's var
+for n < 2, its ratio without a risk or a positive target, and its KS test
+without a positive target, for n < 2 or on a "y" cell.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from scipy import special, stats
 
 from .adaptive import adaptive_filter, s_star_limit
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
-from .likelihood import bayes, mle
+from .likelihood import MAX_DIM, bayes, mle
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval, one_step
@@ -37,7 +44,7 @@ class _Needs(NamedTuple):
     """What an estimator needs from the config."""
 
     first_t: Callable[[int, float], int]  # smallest checkpoint time t, given (T, delta)
-    max_dim: int | None  # most unknowns it takes (the likelihood grid: 2); None: no limit
+    max_dim: int | None  # most unknowns it takes; None: no limit
 
 
 # mme reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and
@@ -46,8 +53,8 @@ class _Needs(NamedTuple):
 _ESTIMATORS = {
     "mme": _Needs(lambda T, delta: 3, None),
     "onestep": _Needs(lambda T, delta: learning_interval(T, delta), None),
-    "mle": _Needs(lambda T, delta: 1, 2),
-    "bayes": _Needs(lambda T, delta: 1, 2),
+    "mle": _Needs(lambda T, delta: 1, MAX_DIM),
+    "bayes": _Needs(lambda T, delta: 1, MAX_DIM),
     "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, None),
 }
 
@@ -181,26 +188,10 @@ class McReport:
     replications: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return _sanitize(
-            {"config": self.config, "cells": self.cells, "replications": self.replications}
-        )
+        return {"config": self.config, "cells": self.cells, "replications": self.replications}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-
-
-def _sanitize(obj):
-    """Convert numpy scalars to Python and non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    return obj
 
 
 def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
@@ -224,6 +215,9 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     rows: list[dict[str, Any]] = []
 
     def emit(estimator: str, coord: str, v: float, t: int, value: float) -> None:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{estimator}:{coord} at t={t} is not finite: {value}")
         rows.append(
             {
                 "estimator": estimator,
@@ -233,7 +227,7 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
                 "t": t,
                 "rep": rep,
                 "stream": stream,
-                "value": float(value),
+                "value": value,
             }
         )
 
@@ -304,34 +298,30 @@ def _aggregate(config: ExperimentConfig, rows: list[dict[str, Any]]) -> list[dic
         groups.setdefault(key, []).append(row)
 
     cells: list[dict[str, Any]] = []
-    for key, members in groups.items():
-        estimator, coord, horizon, v = key
+    for (estimator, coord, horizon, v), members in groups.items():
         t = members[0]["t"]
         values = np.array([m["value"] for m in members])
         n = len(values)
         mean = float(values.mean())
-        var = float(values.var(ddof=1)) if n >= 2 else float("nan")
+        var = float(values.var(ddof=1)) if n >= 2 else None
         target = targets.get((estimator, coord))
-        if estimator == "adaptive" and coord == "y":
+        # Adaptive rows are already errors; an estimate is centred at the truth.
+        centered = values if estimator == "adaptive" else values - getattr(config.params, coord)
+        norm_risk = float((centered * centered).mean())
+        if coord == "y":
             # Risk against the hidden state itself, left unnormalized: its
             # level is the stationary conditional variance gamma* plus the
             # adaptive excess S*^2 / t.
-            norm_risk = float((values * values).mean())
-            centered = values
             excess = targets.get(("adaptive", "m"))
-            base = stationary(config.params).gamma_star
-            target = None if excess is None else base + excess / t
-            ratio = None if target is None else norm_risk / target
-        elif estimator == "adaptive":
-            norm_risk = t * float((values * values).mean())
-            centered = values
-            ratio = None if target is None else norm_risk / target
+            target = None if excess is None else stationary(config.params).gamma_star + excess / t
         else:
-            centered = values - getattr(config.params, coord)
-            norm_risk = t * float((centered * centered).mean())
-            ratio = None if target is None or target == 0.0 else t * var / target
+            norm_risk = t * norm_risk
+        # An adaptive cell scores its risk, an estimator cell its variance.
+        risk = norm_risk if estimator == "adaptive" else None if var is None else t * var
+        scored = target is not None and target > 0.0
+        ratio = risk / target if scored and risk is not None else None
         ks_stat = ks_pvalue = None
-        if target is not None and target > 0.0 and n >= 2 and coord != "y":
+        if scored and n >= 2 and coord != "y":
             ks_stat, ks_pvalue = _ks_normal(math.sqrt(t) * centered, math.sqrt(target))
         cells.append(
             {
@@ -383,7 +373,7 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
                     }
                 )
     cells = _aggregate(config, rows)
-    return McReport(config=config.to_dict(), cells=cells, replications=_sanitize(rows))
+    return McReport(config=config.to_dict(), cells=cells, replications=rows)
 
 
 def write_columns(path: str, columns: dict[str, list]) -> None:
@@ -415,13 +405,11 @@ def export(report: McReport, out_dir: str) -> dict[str, str]:
     write_columns(
         paths["csv"],
         {
-            "estimator": [
-                f"{c['estimator']}:{c['coord']}" if c["coord"] else c["estimator"] for c in cells
-            ],
+            "estimator": [f"{c['estimator']}:{c['coord']}" for c in cells],
             "T": [c["T"] for c in cells],
             "v": [c["v"] for c in cells],
             "mean": [c["mean"] for c in cells],
-            "var": [c["var"] if math.isfinite(c["var"]) else None for c in cells],
+            "var": [c["var"] for c in cells],
             "norm_risk": [c["norm_risk"] for c in cells],
             "target": [c["target"] for c in cells],
             "ratio": [c["ratio"] for c in cells],

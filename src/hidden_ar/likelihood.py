@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePosterior, FlatLikelihood, as_series, as_whole
+from .errors import DegeneratePosterior, FlatLikelihood, UnsupportedSet, as_series, as_whole
 from .model_core import ModelParams, ParamProblem, stationary_from
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,6 +47,8 @@ _GRID = 256
 _BRACKET_TOL = 1e-8
 _FLAT_TOL = 1e-9
 _TAIL_TOL = 2.0**-54  # eps/4 for float64
+# The most unknowns mle and bayes take: their grids hold size^dim nodes.
+MAX_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,10 @@ def _objective(x, problem: ParamProblem):
     """The log-likelihood of x as a function of the problem's unknown
     coordinates, taking one argument per unknown in canonical order: floats,
     or arrays that broadcast, such as the columns of an (n, dim) node array
-    or the arrays of a meshgrid. The lag statistics are computed once, here."""
+    or the arrays of a meshgrid. The lag statistics are computed once, here.
+    More than MAX_DIM unknowns raise UnsupportedSet."""
+    if problem.dim > MAX_DIM:
+        raise UnsupportedSet(f"the likelihood grid takes at most {MAX_DIM} unknowns, got {problem.unknown}")
     if "a" in problem.bounds:
         a_max = max(abs(v) for v in problem.bounds["a"])
     else:
@@ -154,12 +159,10 @@ def _grid(problem: ParamProblem, size: int) -> tuple[list[np.ndarray], list[np.n
 
 
 def mle(x, problem: ParamProblem) -> np.ndarray:
-    """Maximum-likelihood estimate of the unknown coordinates (canonical
-    order). Emits a FlatLikelihood warning and returns the grid argmax when
+    """Maximum-likelihood estimate of at most MAX_DIM unknown coordinates
+    (canonical order; more raise UnsupportedSet). Emits a FlatLikelihood warning and returns the grid argmax when
     the likelihood surface is flat to within 1e-9 across the scan."""
     problem.require_complete()
-    if problem.dim not in (1, 2):
-        raise ValueError(f"mle supports 1 or 2 unknowns, got {problem.unknown}")
     fun = _objective(x, problem)
     axes, nodes = _grid(problem, _GRID)
     values = fun(*nodes)
@@ -212,17 +215,15 @@ def _prior_on_grid(prior, axis: np.ndarray) -> np.ndarray:
 
 
 def bayes(x, problem: ParamProblem, grid_size: int = 512, prior=None) -> np.ndarray:
-    """Posterior-mean estimate of the unknown coordinates on a product grid
-    of grid_size nodes per dimension (a whole number, at least 64). prior is
-    None for the uniform density on the box, or (value, density) pairs
-    interpolated onto the grid (scalar problems only, every value and density
-    finite, densities positive)."""
+    """Posterior-mean estimate of at most MAX_DIM unknown coordinates (more
+    raise UnsupportedSet) on a product grid of grid_size nodes per dimension
+    (a whole number, at least 64). prior is None for the uniform density on
+    the box, or (value, density) pairs interpolated onto the grid (scalar
+    problems only, every value and density finite, densities positive)."""
     problem.require_complete()
     grid_size = as_whole("grid_size", grid_size)
     if grid_size < 64:
         raise ValueError(f"need grid_size >= 64, got {grid_size}")
-    if problem.dim not in (1, 2):
-        raise ValueError(f"bayes supports 1 or 2 unknowns, got {problem.unknown}")
     if problem.dim == 2 and prior is not None:
         raise ValueError("tabulated priors are supported for scalar problems only")
     fun = _objective(x, problem)

@@ -25,12 +25,14 @@ from hidden_ar import (
 from hidden_ar.cli import main
 
 from hidden_ar.adaptive import _recursion
+import hidden_ar.onestep as onestep_mod
 
 from conftest import (
     ALL_SETS,
     REF,
     REF_VALUES,
     plugged_recursion,
+    problem_for,
     random_params,
     recursion_loop,
     write_series_csv,
@@ -128,6 +130,27 @@ class TestAdaptiveRun:
         np.testing.assert_array_equal(
             trace.theta_plug[-1], track.path[2000 - tau - 3]
         )
+
+    @pytest.mark.parametrize("unknown", [("b",), ("f", "a")])
+    def test_causal_given_the_preliminary(self, monkeypatch, unknown):
+        # Step t uses corrections from x up to x_{t-1} and then x_t, so with
+        # the moment preliminary held at the unperturbed series' estimate,
+        # m*_t for t <= s ignores x[s+1:]. The preliminary itself is fit on
+        # the whole series: without the hold, m*_t changes before s too.
+        problem = problem_for(REF, unknown)
+        x = simulate(REF, 2000, seed=84).x
+        s = 1200
+        moved = x.copy()
+        moved[s + 1 :] += np.random.default_rng(6).uniform(-3.0, 3.0, len(x) - s - 1)
+        base = adaptive_filter(x, problem)
+        upto = slice(0, s - base.tau)  # m_star[j] is m*_t at t = tau + 1 + j
+        free = adaptive_filter(moved, problem)
+        assert not np.array_equal(free.m_star[upto], base.m_star[upto])
+        held_prelim = onestep_mod.mme(x, problem)
+        monkeypatch.setattr(onestep_mod, "mme", lambda series, problem: held_prelim)
+        held = adaptive_filter(moved, problem)
+        assert np.array_equal(held.m_star[upto], base.m_star[upto])
+        assert not np.array_equal(held.m_star, base.m_star)
 
     def test_fits_track_when_missing(self, problem_b):
         # Without a frozen point the run fits its own One-step track, the

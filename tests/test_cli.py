@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hidden_ar.adaptive as adaptive_mod
-from hidden_ar import s_star_limit
+from hidden_ar import s_star_limit, simulate
 from hidden_ar.cli import build_parser, main
 
 from conftest import REF, REF_VALUES, write_series_csv
@@ -270,6 +270,8 @@ class TestAdaptive:
         assert (tmp_path / "adaptive.csv").exists()
 
     def test_data_run_has_no_oracle(self, capsys, tmp_path):
+        # The model flags are only defaults for a data run, not the point the
+        # data came from: no limit at them, only tau and the written file.
         rng = np.random.default_rng(9)
         data = tmp_path / "x.csv"
         write_series_csv(data, rng.standard_normal(2000) * 1.5)
@@ -277,7 +279,30 @@ class TestAdaptive:
             capsys, ["adaptive", "--data", str(data), "--out", str(tmp_path)]
         )
         assert code == 0
-        assert "normalized_filter_error" not in lines[-1]
+        assert set(lines[-1]) == {"tau", "written"}
+        assert (tmp_path / "adaptive.csv").exists()
+
+    @pytest.mark.parametrize("source", ["simulated", "data"])
+    def test_singular_flags(self, capsys, tmp_path, source):
+        # At a = 0 the triple's information is singular. A simulated run is
+        # scored at the flags and fails; a data run never evaluates them.
+        out = tmp_path / "out"
+        argv = ["adaptive", "--a", "0", "--unknown", "a,b,sigma2", "--out", str(out)]
+        if source == "data":
+            data = tmp_path / "x.csv"
+            write_series_csv(data, simulate(REF, 2000, seed=3).x)
+            argv += ["--data", str(data)]
+        else:
+            argv += ["--T", "2000"]
+        code, lines, err = run_cli(capsys, argv)
+        if source == "data":
+            assert code == 0
+            assert set(lines[-1]) == {"tau", "written"}
+            assert (out / "adaptive.csv").exists()
+        else:
+            assert code == 1
+            assert "singular" in err
+            assert not out.exists()
 
     def test_s_star_limit_outside_b(self, capsys, tmp_path):
         code, lines, _ = run_cli(
@@ -465,6 +490,19 @@ class TestMonteCarlo:
         assert code == 2
         assert message in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_single_replication_stdout_is_strict_json(self, capsys, tmp_path):
+        # With n = 1 a cell's var and ratio are undefined: null, never NaN.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = ["montecarlo", "--T", "300", "--replications", "1", "--estimators", "onestep"]
+        code = main(argv + ["--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        lines = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert code == 0
+        cells = [line for line in lines if "estimator" in line]
+        assert len(cells) == 2 and all(line["ratio"] is None for line in cells)
 
     def test_every_replication_failed_exit_1(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

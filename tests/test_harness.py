@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hidden_ar import (
     stationary,
 )
 import hidden_ar.adaptive as adaptive_mod
+import hidden_ar.harness as harness_mod
 from hidden_ar.harness import _ks_normal, _targets, write_columns
 
 from conftest import REF
@@ -368,6 +370,28 @@ class TestAggregation:
         assert set(targets) == {("onestep", "a"), ("onestep", "b"), ("onestep", "sigma2"), ("adaptive", "m")}
         assert all(target is None for target in targets.values())
 
+    def test_zero_adaptive_target(self):
+        # At a = 0 the derivative of m in b vanishes and S*^2 is exactly 0:
+        # the m cells keep that target but get no ratio and no KS test; the
+        # y cells are scored against gamma* alone.
+        params = REF.replace(a=0.0)
+        report = run_monte_carlo(small_config(params=params, replications=3))
+        m_cells = [c for c in report.cells if (c["estimator"], c["coord"]) == ("adaptive", "m")]
+        assert len(m_cells) == 2
+        for cell in m_cells:
+            assert cell["target"] == 0.0
+            assert cell["ratio"] is None and cell["ks_pvalue"] is None
+        for cell in (c for c in report.cells if c["coord"] == "y"):
+            assert cell["target"] == stationary(params).gamma_star
+            assert cell["ratio"] == cell["norm_risk"] / cell["target"]
+        json.loads(report.to_json())
+
+    @pytest.mark.parametrize("replications", [1, 3])
+    def test_in_memory_report_equals_json(self, replications):
+        report = run_monte_carlo(small_config(replications=replications))
+        doc = {"config": report.config, "cells": report.cells, "replications": report.replications}
+        assert json.loads(report.to_json()) == doc
+
     def test_single_replication_var_is_sanitized(self):
         config = small_config(replications=1)
         report = run_monte_carlo(config)
@@ -417,6 +441,34 @@ class TestFailureCapture:
         for cell in report.cells:
             assert cell["failures"] == 1
             assert cell["n"] == 5
+
+    def test_non_finite_estimate_fails_its_replication(self, monkeypatch):
+        # Calls run rep by rep, t = 200 then t = 400: the 4th call is rep 1
+        # at t = 400, the 7th rep 3 at t = 200, which ends rep 3.
+        config = small_config(replications=4, estimators=("mme",))
+        real = harness_mod.mme
+        calls = []
+
+        def nan_on_some(x, problem):
+            calls.append(len(x) - 1)
+            if len(calls) in (4, 7):
+                return types.SimpleNamespace(values=np.array([np.nan]))
+            return real(x, problem)
+
+        monkeypatch.setattr(harness_mod, "mme", nan_on_some)
+        report = run_monte_carlo(config)
+        errors = [r for r in report.replications if r["estimator"] == "error"]
+        assert [(r["rep"], r["message"]) for r in errors] == [
+            (1, "ArithmeticError: mme:b at t=400 is not finite: nan"),
+            (3, "ArithmeticError: mme:b at t=200 is not finite: nan"),
+        ]
+        assert calls == [200, 400] * 3 + [200]
+        assert {r["rep"] for r in report.replications if r["estimator"] == "mme"} == {0, 2}
+        assert len(report.cells) == 2
+        for cell in report.cells:
+            assert cell["failures"] == 2
+            assert cell["n"] == 2
+        json.loads(report.to_json())
 
 
 class TestWriteColumns:

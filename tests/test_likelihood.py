@@ -13,6 +13,7 @@ from hidden_ar import (
     ModelParams,
     ParamProblem,
     SeriesTooShort,
+    UnsupportedSet,
     bayes,
     log_likelihood,
     mle,
@@ -217,3 +218,12 @@ class TestBayes:
         x = simulate(REF, 100, seed=72).x * 1e155
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePosterior):
             bayes(x, problem_b)
+
+
+@pytest.mark.parametrize("estimator", [mle, bayes])
+@pytest.mark.parametrize("unknown", [("a", "f", "sigma2"), ("a", "b", "sigma2")])
+def test_grid_estimators_reject_a_triple(estimator, unknown):
+    # The grids hold size^dim nodes: three unknowns are refused up front.
+    x = simulate(REF, 100, seed=73).x
+    with pytest.raises(UnsupportedSet, match="at most 2 unknowns"):
+        estimator(x, problem_for(REF, unknown))

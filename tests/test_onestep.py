@@ -170,6 +170,25 @@ class TestZeroCorrection:
         assert info[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
+class TestCausality:
+    """Each path row uses the observations up to its own time only."""
+
+    @pytest.mark.parametrize("method", ["batch", "recurrent"])
+    @pytest.mark.parametrize("unknown", [("b",), ("f", "a"), ("a", "b", "sigma2")])
+    def test_path_ignores_later_observations(self, method, unknown):
+        x = simulate(REF, 2000, seed=31).x
+        s = 1200
+        moved = x.copy()
+        moved[s + 1 :] += np.random.default_rng(5).uniform(-3.0, 3.0, len(x) - s - 1)
+        problem = problem_for(REF, unknown)
+        prelim = problem.values_of(REF)
+        base = one_step(x, problem, method=method, prelim=prelim)
+        other = one_step(moved, problem, method=method, prelim=prelim)
+        upto = base.t_grid <= s
+        assert np.array_equal(base.path[upto], other.path[upto])
+        assert not np.array_equal(base.path[~upto], other.path[~upto])
+
+
 class TestOneStepPair:
     def test_recovers_truth(self, problem_fa):
         x = simulate(REF, 10000, seed=49).x
