@@ -14,6 +14,7 @@ from .errors import (
     HorizonTooShort,
     InvalidSeed,
     NonFiniteObservations,
+    ObservationsOverflow,
     SeriesTooShort,
     UnsupportedCoordinate,
     UnsupportedSet,
@@ -60,6 +61,7 @@ __all__ = [
     "ModelParams",
     "MomentStats",
     "NonFiniteObservations",
+    "ObservationsOverflow",
     "ParamProblem",
     "SeriesTooShort",
     "StationaryGradient",

@@ -11,9 +11,16 @@ where theta_hat_{t-1} is theta*_{t-1,T} once the path exists (t-1 >= tau+2)
 and the preliminary estimate before that. The scoring corrections feeding
 step t use observations up to x_{t-1} only; the moment preliminary is fit
 on the whole series (batch setting, see the onestep module). adaptive_filter
-runs all three steps and returns the one-step path it fitted. The recursion
-is computed as one bidiagonal solve, which is exact: with |A| < 1 LAPACK's
-dgtsv never pivots and does the recursion's own multiply and add.
+runs all three steps and returns the one-step path it fitted.
+
+The recursion is one LAPACK dgttrs solve of the unit lower bidiagonal
+system m_t - A_t m_{t-1} = e_t x_t, handed over already factored: L with
+subdiagonal -A_t, U = I, identity pivots. dgttrs then eliminates nothing;
+its forward pass computes e_t x_t - (-A_t) m_{t-1}, which rounds exactly as
+the recursion's multiply and add, and its back pass subtracts 0 * m and
+divides by 1, so the track equals the step-by-step loop bit for bit.
+solve_banded and BLAS dtbsv stay unused: their kernels may fuse the
+multiply-add into one rounding.
 
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
 S*^2 = tr(I^{-1} D), with D = E[dm dm^T] the stationary covariance of the
@@ -134,16 +141,28 @@ def adaptive_filter(
 
 
 def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit."""
-    # The unit lower bidiagonal system m_t - a_coef_t m_{t-1} = drive_t. With
-    # |a_coef| <= 1 dgtsv never pivots: its elimination rounds as the recursion
-    # does, and its back substitution subtracts 0 * b and divides by 1. (Not
-    # solve_banded or dtbsv: their BLAS kernels may fuse the multiply-add.)
+    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit;
+    ArithmeticError when the track is not finite (a non-finite coefficient,
+    or overflow)."""
+    # L with subdiagonal -a_coef, U = I and identity pivots are the LU factors
+    # of m_t - a_coef_t m_{t-1} = drive_t, so dgttrs eliminates nothing and
+    # rounds as the recursion does (see the module docstring; not
+    # solve_banded or dtbsv, whose BLAS kernels may fuse the multiply-add).
+    # The wrapper needs n >= 3: two uncoupled zero rows pad every system.
     n = len(drive)
-    *_, m, info = lapack.dgtsv(-a_coef[1:], np.ones(n), np.zeros(n - 1), drive)
-    if info != 0:
-        raise ArithmeticError(f"dgtsv failed on the filter recursion (info={info})")
-    return m
+    lower = np.zeros(n + 1)
+    np.negative(a_coef[1:], out=lower[: n - 1])
+    rhs = np.zeros(n + 2)
+    rhs[:n] = drive
+    upper = np.zeros(n + 1)
+    pivots = np.arange(1, n + 3, dtype=np.int32)
+    m, _ = lapack.dgttrs(lower, np.ones(n + 2), upper, upper[:-1], pivots, rhs, overwrite_b=True)
+    # A non-finite entry carries forward to m_n, so m_n stands for the track.
+    if not math.isfinite(m[n - 1]):
+        raise ArithmeticError(
+            f"filter recursion not finite (m_n = {m[n - 1]}): a non-finite coefficient or an overflow"
+        )
+    return m[:n]
 
 
 def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:

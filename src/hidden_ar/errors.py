@@ -53,6 +53,11 @@ class NonFiniteObservations(HiddenArError, ValueError):
     """The observation series contains a NaN or an infinite value."""
 
 
+class ObservationsOverflow(HiddenArError, ValueError):
+    """The observations are finite but so large that the sum of their
+    squares or a lagged product overflows, so the likelihood is undefined."""
+
+
 class InvalidSeed(HiddenArError, ValueError):
     """A seed or stream id lies outside [0, 2**64), the Philox key range."""
 

@@ -39,7 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePosterior, FlatLikelihood, UnsupportedSet, as_series, as_whole
+from .errors import (
+    DegeneratePosterior,
+    FlatLikelihood,
+    ObservationsOverflow,
+    UnsupportedSet,
+    as_series,
+    as_whole,
+)
 from .model_core import ModelParams, ParamProblem, stationary_from
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,19 +70,21 @@ class _LagStatistics:
 
 
 def _lag_statistics(x, a_max: float) -> _LagStatistics:
-    """Statistics of x for evaluations with |a| <= a_max, in O(T J)."""
+    """Statistics of x for evaluations with |a| <= a_max, in O(T J);
+    ObservationsOverflow when S0 or a lagged product is not finite."""
     z = as_series(x, 2)[1:]
     horizon = len(z)
     lags = 1
     if a_max > 0.0:
         lags = math.ceil(math.log(_TAIL_TOL * (1.0 - a_max)) / math.log(a_max))
     lags = max(1, min(lags, horizon))
-    return _LagStatistics(
-        horizon=horizon,
-        s0=float(z @ z),
-        lagged=[float(z[j:] @ z[:-j]) for j in range(1, lags + 1)],
-        recent=z[::-1][:lags].tolist(),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        s0 = float(z @ z)
+        lagged = [float(z[j:] @ z[:-j]) for j in range(1, lags + 1)]
+    if not (math.isfinite(s0) and all(map(math.isfinite, lagged))):
+        largest = float(np.abs(z).max())
+        raise ObservationsOverflow(f"sums of products of x overflow (largest |x_t| = {largest:.3g})")
+    return _LagStatistics(horizon=horizon, s0=s0, lagged=lagged, recent=z[::-1][:lags].tolist())
 
 
 def _horner(coefs: list[float], x):

@@ -15,7 +15,9 @@ The stationary filtering error variance gamma_star is the positive root of
 and everything else derives from it: the one-step prediction variance
 P = sigma2 + f^2 * gamma_star, the stationary filter coefficients
 A = a * sigma2 / P and e = a * f * gamma_star / P, and the innovation
-coefficient B = a * Gamma / sqrt(P) with Gamma = f^2 * gamma_star.
+coefficient B = a * Gamma / sqrt(P) with Gamma = f^2 * gamma_star, which
+_track_moments forms from Gamma and P (StationaryQuantities holds only
+what its callers read).
 
 Parameter derivatives come from implicit differentiation of the quadratic,
 never from finite differences. fisher_info returns the Fisher information
@@ -252,8 +254,6 @@ class StationaryQuantities:
     big_gamma  : Gamma = f^2 * gamma_star
     p          : one-step prediction variance P = sigma2 + Gamma
     a_coef     : filter mean coefficient A = a * sigma2 / P, |A| < 1
-    e_coef     : E = a * Gamma / P (A + E = a exactly)
-    b_coef     : innovation coefficient B = a * Gamma / sqrt(P)
     gain       : filter input coefficient e = a * f * gamma_star / P
     """
 
@@ -261,8 +261,6 @@ class StationaryQuantities:
     big_gamma: float | np.ndarray
     p: float | np.ndarray
     a_coef: float | np.ndarray
-    e_coef: float | np.ndarray
-    b_coef: float | np.ndarray
     gain: float | np.ndarray
 
 
@@ -291,8 +289,6 @@ def stationary_from(a, b, f, sigma2) -> StationaryQuantities:
         big_gamma=big_gamma,
         p=p,
         a_coef=a * sigma2 / p,
-        e_coef=a * big_gamma / p,
-        b_coef=a * big_gamma / sqrt(p),
         gain=a * f * gamma_star / p,
     )
 
@@ -399,7 +395,8 @@ def _track_moments(params: ModelParams, unknown: tuple[str, ...]):
     if _SUPPORTED_SETS.get(frozenset(unknown)) != unknown:
         raise UnsupportedSet(f"{unknown} is not a supported unknown set in canonical order")
     sq = stationary(params)
-    a, A, B, root_p = params.a, sq.a_coef, sq.b_coef, math.sqrt(sq.p)
+    a, A, root_p = params.a, sq.a_coef, math.sqrt(sq.p)
+    B = a * sq.big_gamma / root_p
     mu = B * B / (1.0 - a * a)
     shocks = {"a": sq.big_gamma / root_p, "sigma2": -a / root_p}
     d_p = [stationary_gradient(params, coord).d_p for coord in unknown]

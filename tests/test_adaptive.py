@@ -69,7 +69,7 @@ class TestRecursionSolve:
     def test_random_coefficient_paths(self):
         rng = np.random.default_rng(511)
         edge = 1.0 - 1e-12
-        for n in (2, 3, 17, 1000, 100_000):
+        for n in (1, 2, 3, 17, 1000, 100_000):
             for _ in range(4):
                 a_coef = rng.uniform(-edge, edge, n)
                 drive = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(n)
@@ -95,9 +95,11 @@ class TestRecursionSolve:
         assert np.array_equal(drive, np.arange(1.0, 6.0))
 
     def test_singular_system_raises(self):
-        # An infinite coefficient makes dgtsv pivot into an exact zero.
-        with pytest.raises(ArithmeticError, match="dgtsv"):
-            _recursion(np.array([0.5, np.inf, 0.5]), np.ones(3))
+        # Nothing pivots, so an infinite coefficient is caught by the track
+        # it leaves (inf from m_2 on), and so is a track that overflows.
+        for a_coef, drive in (([0.5, np.inf, 0.5], [1.0] * 3), ([0.9] * 4, [1e308] * 4)):
+            with pytest.raises(ArithmeticError, match="not finite"):
+                _recursion(np.array(a_coef), np.array(drive))
 
     def test_adaptive_runs_match_loop(self, problem_b, problem_f, problem_a, problem_fa):
         # Estimated runs on every supported set, the shortest frozen run

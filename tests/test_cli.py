@@ -146,6 +146,17 @@ class TestFilter:
             assert code == 2
             assert "x[250]" in err
 
+    def test_overflowing_data_exit_2(self, capsys, tmp_path):
+        # Finite values whose squares overflow: an input error, with
+        # nothing (no NaN log-likelihood) on stdout.
+        data = tmp_path / "x.csv"
+        write_series_csv(data, simulate(REF, 2000, seed=9).x * 1e160)
+        for argv in (["mle"], ["bayes", "--grid-size", "64"]):
+            code, lines, err = run_cli(capsys, argv + ["--data", str(data)])
+            assert code == 2
+            assert lines == []
+            assert "overflow" in err
+
     def test_missing_x_column_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         with open(bad, "w") as fh:

@@ -24,7 +24,7 @@ from hidden_ar import (
 )
 import hidden_ar.adaptive as adaptive_mod
 import hidden_ar.harness as harness_mod
-from hidden_ar.harness import _ks_normal, _targets, write_columns
+from hidden_ar.harness import _ks_pvalues, _ks_statistic, _targets, write_columns
 
 from conftest import REF
 
@@ -403,6 +403,7 @@ class TestAggregation:
 class TestKsNormal:
     def test_matches_scipy_kstest_bitwise(self):
         rng = np.random.default_rng(23)
+        samples, wants = [], []
         for n in range(2, 65):
             scale = float(rng.uniform(0.1, 10.0))
             plain = scale * rng.standard_normal(n)
@@ -413,8 +414,47 @@ class TestKsNormal:
             shifted = plain + 3.0 * scale  # tiny p-values
             for values in (plain, tied, tails, shifted, np.full(n, 0.25 * scale)):
                 want = stats.kstest(values, "norm", args=(0.0, scale))
-                got = _ks_normal(values, scale)
-                assert got == (float(want.statistic), float(want.pvalue))
+                samples.append((values, scale))
+                wants.append((float(want.statistic), float(want.pvalue)))
+        # Every sample's p-value comes from the one batched call.
+        d = [_ks_statistic(values, scale) for values, scale in samples]
+        pvalues = _ks_pvalues(d, [len(values) for values, _ in samples])
+        assert list(zip(d, pvalues)) == wants
+
+    def test_report_with_unequal_cell_sizes(self, monkeypatch):
+        # One replication fails at the first of two horizons, so that
+        # horizon's cells hold n = 4 and the other's n = 5: every KS entry
+        # of the report still equals kstest on the cell's own sample.
+        config = small_config(horizons=(400, 600), replications=5)
+        real = adaptive_mod.one_step
+
+        def broken(x, problem, delta=0.6, method="batch", prelim=None):
+            broken.calls += 1
+            if broken.calls == 3:
+                raise RuntimeError("synthetic failure")
+            return real(x, problem, delta, method, prelim)
+
+        broken.calls = 0
+        monkeypatch.setattr(adaptive_mod, "one_step", broken)
+        report = run_monte_carlo(config)
+        targets = _targets(config)
+        tested = [cell for cell in report.cells if cell["ks_stat"] is not None]
+        assert {(cell["T"], cell["n"]) for cell in tested} == {(400, 4), (600, 5)}
+        assert {(c["estimator"], c["coord"]) for c in tested} == {("onestep", "b"), ("adaptive", "m")}
+        for cell in tested:
+            values = np.array(
+                [
+                    r["value"]
+                    for r in report.replications
+                    if (r["estimator"], r["coord"], r["T"], r["v"])
+                    == (cell["estimator"], cell["coord"], cell["T"], cell["v"])
+                ]
+            )
+            if cell["estimator"] == "onestep":
+                values = values - REF.b
+            scale = np.sqrt(targets[(cell["estimator"], cell["coord"])])
+            want = stats.kstest(np.sqrt(cell["t"]) * values, "norm", args=(0.0, scale))
+            assert (cell["ks_stat"], cell["ks_pvalue"]) == (float(want.statistic), float(want.pvalue))
 
 
 class TestFailureCapture:

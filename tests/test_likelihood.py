@@ -11,6 +11,7 @@ from hidden_ar import (
     DegeneratePosterior,
     FlatLikelihood,
     ModelParams,
+    ObservationsOverflow,
     ParamProblem,
     SeriesTooShort,
     UnsupportedSet,
@@ -214,10 +215,29 @@ class TestBayes:
         assert problem.bounds["a"][0] <= values[1] <= problem.bounds["a"][1]
 
     def test_degenerate_posterior(self, problem_b):
-        # Finite observations whose squares overflow to inf.
-        x = simulate(REF, 100, seed=72).x * 1e155
+        # S0 just below the float64 maximum: the lag statistics are finite,
+        # but the likelihood overflows at every node. (Squares that overflow
+        # S0 itself raise ObservationsOverflow first.)
+        x = simulate(REF, 100, seed=72).x
+        x = x * math.sqrt(0.999 * np.finfo(float).max / (x[1:] @ x[1:]))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePosterior):
             bayes(x, problem_b)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x: mle(x, problem_for(REF, ("b",))),
+        lambda x: bayes(x, problem_for(REF, ("f", "a")), grid_size=64),
+        lambda x: log_likelihood(x, REF),
+    ],
+    ids=["mle", "bayes", "log_likelihood"],
+)
+def test_overflowing_observations_rejected(evaluate):
+    # Finite observations whose squares overflow, so S0 is inf.
+    x = simulate(REF, 2000, seed=74).x * 1e160
+    with pytest.raises(ObservationsOverflow, match="overflow"):
+        evaluate(x)
 
 
 @pytest.mark.parametrize("estimator", [mle, bayes])

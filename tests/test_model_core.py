@@ -23,6 +23,7 @@ from hidden_ar import (
     stationary_gradient,
     validate,
 )
+from hidden_ar.model_core import _track_moments
 
 from conftest import ALL_SETS, REF, REF_VALUES, random_params
 
@@ -241,6 +242,15 @@ class TestStationary:
         for field in dataclasses.fields(StationaryQuantities):
             want = np.array([getattr(stationary(p), field.name) for p in points])
             assert np.array_equal(getattr(block, field.name), want), field.name
+        # E = a Gamma / P and B = a Gamma / sqrt(P) are formed from the fields
+        # by their users (B in _track_moments); they match bit for bit too.
+        derived = {
+            "E": lambda a, sq, sqrt: a * sq.big_gamma / sq.p,
+            "B": lambda a, sq, sqrt: a * sq.big_gamma / sqrt(sq.p),
+        }
+        for name, form in derived.items():
+            want = np.array([form(p.a, stationary(p), math.sqrt) for p in points])
+            assert np.array_equal(form(columns["a"], block, np.sqrt), want), name
         # A float coordinate broadcasts against the array ones.
         mixed = stationary_from(**dict(columns, sigma2=1.0))
         want = np.array([stationary(p.replace(sigma2=1.0)).gain for p in points])
@@ -256,13 +266,15 @@ class TestStationary:
         for _ in range(100):
             params = random_params(rng)
             sq = stationary(params)
+            e_coef = params.a * sq.big_gamma / sq.p
             # A + E = a exactly in real arithmetic.
-            assert abs(sq.a_coef + sq.e_coef - params.a) < 1e-12
+            assert abs(sq.a_coef + e_coef - params.a) < 1e-12
             # e = E / f in real arithmetic.
-            assert_close_rel(sq.gain, sq.e_coef / params.f, 1e-12)
-            assert_close_rel(
-                sq.b_coef, params.a * sq.big_gamma / math.sqrt(sq.p), 1e-12
-            )
+            assert_close_rel(sq.gain, e_coef / params.f, 1e-12)
+            # _track_moments forms B = a Gamma / sqrt(P): mu = B^2 / (1 - a^2).
+            b_coef = params.a * sq.big_gamma / math.sqrt(sq.p)
+            mu = _track_moments(params, ("b",))[4]
+            assert mu == b_coef * b_coef / (1.0 - params.a * params.a)
 
 
 class TestStationaryGradient:
