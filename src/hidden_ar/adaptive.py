@@ -43,8 +43,8 @@ from .kalman import filter_stationary
 from .model_core import (
     ModelParams,
     ParamProblem,
+    _information,
     _track_moments,
-    fisher_info,
     stationary_from,
     validate,
 )
@@ -177,12 +177,20 @@ def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
 
         D = (C - phi w^T - w phi^T + mu phi phi^T) / f^2,   phi_i = [i = f]/f.
     """
-    sq, _, beta, w, mu, cross = _track_moments(params, unknown)
+    return _excess_and_information(params, unknown)[0]
+
+
+def _excess_and_information(params: ModelParams, unknown: tuple[str, ...]) -> tuple[float, np.ndarray]:
+    """(s_star_limit, fisher_info) at params, from one evaluation of the
+    track moments and of the information."""
+    moments = _track_moments(params, unknown)
+    information = _information(params, unknown, moments)
+    sq, _, beta, w, mu, cross = moments
     phi = np.array([1.0 / params.f if coord == "f" else 0.0 for coord in unknown])
     c = (np.outer(beta, beta) + cross) / (1.0 - sq.a_coef * sq.a_coef)
     d = (c - np.outer(phi, w) - np.outer(w, phi) + mu * np.outer(phi, phi)) / (params.f * params.f)
     # Rounding among subnormal entries of D (|a| < 1e-154) can go below 0.
-    return max(float(np.linalg.solve(fisher_info(params, unknown), d).trace()), 0.0)
+    return max(float(np.linalg.solve(information, d).trace()), 0.0), information
 
 
 def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:

@@ -1,14 +1,14 @@
 """Gaussian innovation likelihood, full MLE, and the Bayes estimator.
 
-The exact log-likelihood under the stationary filter is
+The log-likelihood of the stationary filter run from m0 = 0 is
 
     L(theta) = -(T/2) ln(2 pi P(theta))
-               - sum_{t=1..T} (x_t - f m_{t-1}(theta))^2 / (2 P(theta)),
+               - sum_{t=1..T} (x_t - f m_{t-1}(theta))^2 / (2 P(theta)).
 
-with the m-track run from m0 = 0. It depends on the data only through a few
-lagged products. Write z_t = x_t for t = 1..T and y_t = A y_{t-1} + z_t with
-y_0 = 0, so that m_t = e y_t, and let c = f e. Summing
-y_t^2 = (A y_{t-1} + z_t)^2 over t gives the residual sum of squares
+It depends on the data only through a few lagged products. Write z_t = x_t
+for t = 1..T and y_t = A y_{t-1} + z_t with y_0 = 0, so that m_t = e y_t, and
+let c = f e. Summing y_t^2 = (A y_{t-1} + z_t)^2 over t gives the residual
+sum of squares
 
     SSR = S0 - 2 c S1 + c^2 (S0 + 2 A S1 - y_T^2) / (1 - A^2),
 
@@ -28,6 +28,16 @@ nodes per dimension) followed by coordinate-wise golden-section refinement
 to bracket width 1e-8. The Bayes estimator is the posterior mean under a
 positive prior on the box, computed by trapezoid quadrature over a product
 grid of grid_size nodes per dimension with log-sum-exp stabilized weights.
+
+Both read a likelihood surface: the lag statistics of one series plus the
+values at the nodes of every product grid asked for, from one evaluation
+over their concatenated nodes (elementwise, so each node's value is the one
+a separate evaluation gives). Called alone, mle and bayes build a surface
+holding their own grid; the Monte Carlo harness builds one per checkpoint
+prefix holding both, so the two share the statistics and the grid pass.
+A node value that is not finite (observations so large that the residual
+sum of squares overflows) raises ObservationsOverflow, as do a non-finite
+refined MLE value and a non-finite log_likelihood.
 """
 
 from __future__ import annotations
@@ -50,12 +60,14 @@ from .errors import (
 from .model_core import ModelParams, ParamProblem, stationary_from
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID = 256
 _BRACKET_TOL = 1e-8
 _FLAT_TOL = 1e-9
 _TAIL_TOL = 2.0**-54  # eps/4 for float64
 # The most unknowns mle and bayes take: their grids hold size^dim nodes.
 MAX_DIM = 2
+# Nodes per dimension of the product grid each grid estimator reads: mle's
+# scan, and bayes's posterior grid at its default grid_size.
+_GRIDS = {"mle": 256, "bayes": 512}
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,12 @@ class _LagStatistics:
     s0: float
     lagged: list[float]
     recent: list[float]
+
+
+def _overflow(x, what: str) -> ObservationsOverflow:
+    """ObservationsOverflow saying what is not finite, with the largest |x_t|."""
+    largest = float(np.abs(as_series(x, 2)[1:]).max())
+    return ObservationsOverflow(f"{what} (largest |x_t| = {largest:.3g})")
 
 
 def _lag_statistics(x, a_max: float) -> _LagStatistics:
@@ -82,8 +100,7 @@ def _lag_statistics(x, a_max: float) -> _LagStatistics:
         s0 = float(z @ z)
         lagged = [float(z[j:] @ z[:-j]) for j in range(1, lags + 1)]
     if not (math.isfinite(s0) and all(map(math.isfinite, lagged))):
-        largest = float(np.abs(z).max())
-        raise ObservationsOverflow(f"sums of products of x overflow (largest |x_t| = {largest:.3g})")
+        raise _overflow(x, "sums of products of x overflow")
     return _LagStatistics(horizon=horizon, s0=s0, lagged=lagged, recent=z[::-1][:lags].tolist())
 
 
@@ -112,28 +129,13 @@ def _evaluate(stats: _LagStatistics, a, b, f, sigma2):
 
 
 def log_likelihood(x, candidate: ModelParams) -> float:
-    """Exact Gaussian log-likelihood of x at the candidate point."""
+    """Log-likelihood of x under the stationary filter at the candidate point,
+    with the filter's mean started at m0 = 0 (the module docstring gives the
+    formula); ObservationsOverflow when it is not finite."""
     stats = _lag_statistics(x, abs(candidate.a))
-    return _evaluate(stats, candidate.a, candidate.b, candidate.f, candidate.sigma2)
-
-
-def _objective(x, problem: ParamProblem):
-    """The log-likelihood of x as a function of the problem's unknown
-    coordinates, taking one argument per unknown in canonical order: floats,
-    or arrays that broadcast, such as the columns of an (n, dim) node array
-    or the arrays of a meshgrid. The lag statistics are computed once, here.
-    More than MAX_DIM unknowns raise UnsupportedSet."""
-    if problem.dim > MAX_DIM:
-        raise UnsupportedSet(f"the likelihood grid takes at most {MAX_DIM} unknowns, got {problem.unknown}")
-    if "a" in problem.bounds:
-        a_max = max(abs(v) for v in problem.bounds["a"])
-    else:
-        a_max = abs(problem.known["a"])
-    stats = _lag_statistics(x, a_max)
-
-    def value(*columns):
-        return _evaluate(stats, **problem.coordinates(columns))
-
+    value = _evaluate(stats, candidate.a, candidate.b, candidate.f, candidate.sigma2)
+    if not math.isfinite(value):
+        raise _overflow(x, "the log-likelihood of x is not finite at the candidate")
     return value
 
 
@@ -160,21 +162,70 @@ def _golden(fun, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _grid(problem: ParamProblem, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _grid(problem: ParamProblem, size: int) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
     """The axes of the size^dim product grid over the bounds box and its
     node coordinates, one array of shape (size,) * dim per unknown."""
     axes = [np.linspace(*problem.bounds[name], size) for name in problem.unknown]
     return axes, np.meshgrid(*axes, indexing="ij")
 
 
-def mle(x, problem: ParamProblem) -> np.ndarray:
+class _Surface:
+    """The log-likelihood of one series x as a function of a problem's
+    unknown coordinates, for mle and bayes to share.
+
+    Building it computes the lag statistics once and evaluates the product
+    grids of the given sizes (nodes per dimension, one or more) in one pass
+    over their concatenated nodes. More than MAX_DIM unknowns raise
+    UnsupportedSet; a node value that is not finite raises
+    ObservationsOverflow. Calling it evaluates one argument per unknown in
+    canonical order: floats, or arrays that broadcast.
+    """
+
+    def __init__(self, x, problem: ParamProblem, sizes):
+        if problem.dim > MAX_DIM:
+            raise UnsupportedSet(f"the likelihood grid takes at most {MAX_DIM} unknowns, got {problem.unknown}")
+        if "a" in problem.bounds:
+            a_max = max(abs(v) for v in problem.bounds["a"])
+        else:
+            a_max = abs(problem.known["a"])
+        self._problem = problem
+        self._stats = _lag_statistics(x, a_max)
+        grids = {size: _grid(problem, size) for size in sizes}
+        columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by the check below
+            values = self(*columns)
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise _overflow(x, f"the log-likelihood of x is not finite at {bad} of {len(values)} grid nodes")
+        self._grids = {}
+        start = 0
+        for size, (axes, nodes) in grids.items():
+            stop = start + nodes[0].size
+            self._grids[size] = (axes, nodes, values[start:stop].reshape(nodes[0].shape))
+            start = stop
+
+    def __call__(self, *columns):
+        return _evaluate(self._stats, **self._problem.coordinates(columns))
+
+    def grid(self, size: int) -> tuple[list[np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
+        """The axes, node coordinates and log-likelihood values of the
+        size^dim grid, each array of shape (size,) * dim."""
+        return self._grids[size]
+
+
+def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.ndarray:
     """Maximum-likelihood estimate of at most MAX_DIM unknown coordinates
-    (canonical order; more raise UnsupportedSet). Emits a FlatLikelihood warning and returns the grid argmax when
-    the likelihood surface is flat to within 1e-9 across the scan."""
+    (canonical order; more raise UnsupportedSet). Emits a FlatLikelihood
+    warning and returns the grid argmax when the likelihood surface is flat
+    to within 1e-9 across the scan. ObservationsOverflow when the likelihood
+    is not finite at a scan node or at the refined point.
+
+    _surface, when given, is a likelihood surface of x and problem holding
+    the scan grid; the Monte Carlo harness shares one with bayes."""
     problem.require_complete()
-    fun = _objective(x, problem)
-    axes, nodes = _grid(problem, _GRID)
-    values = fun(*nodes)
+    size = _GRIDS["mle"]
+    surface = _Surface(x, problem, (size,)) if _surface is None else _surface
+    axes, _, values = surface.grid(size)
     best = np.unravel_index(int(np.argmax(values)), values.shape)
     point = [float(axis[i]) for axis, i in zip(axes, best)]
     if float(values.max() - values.min()) < _FLAT_TOL:
@@ -193,13 +244,15 @@ def mle(x, problem: ParamProblem) -> np.ndarray:
         def along(g):
             trial = list(point)
             trial[k] = g
-            return fun(*trial)
+            return surface(*trial)
 
         refined = _golden(along, lo, hi)
         quiet = quiet + 1 if abs(refined - point[k]) < _BRACKET_TOL else 1
         point[k] = refined
         if quiet == problem.dim:
             break
+    if not math.isfinite(surface(*point)):
+        raise _overflow(x, "the log-likelihood of x is not finite at the refined MLE")
     return np.array(point)
 
 
@@ -223,24 +276,29 @@ def _prior_on_grid(prior, axis: np.ndarray) -> np.ndarray:
     return dens
 
 
-def bayes(x, problem: ParamProblem, grid_size: int = 512, prior=None) -> np.ndarray:
+def bayes(
+    x, problem: ParamProblem, grid_size: int = _GRIDS["bayes"], prior=None, *, _surface: _Surface | None = None
+) -> np.ndarray:
     """Posterior-mean estimate of at most MAX_DIM unknown coordinates (more
     raise UnsupportedSet) on a product grid of grid_size nodes per dimension
     (a whole number, at least 64). prior is None for the uniform density on
     the box, or (value, density) pairs interpolated onto the grid (scalar
-    problems only, every value and density finite, densities positive)."""
+    problems only, every value and density finite, densities positive).
+    ObservationsOverflow when the likelihood is not finite at a grid node.
+
+    _surface, when given, is a likelihood surface of x and problem holding
+    the grid_size grid; the Monte Carlo harness shares one with mle."""
     problem.require_complete()
     grid_size = as_whole("grid_size", grid_size)
     if grid_size < 64:
         raise ValueError(f"need grid_size >= 64, got {grid_size}")
     if problem.dim == 2 and prior is not None:
         raise ValueError("tabulated priors are supported for scalar problems only")
-    fun = _objective(x, problem)
-    axes, nodes = _grid(problem, grid_size)
+    surface = _Surface(x, problem, (grid_size,)) if _surface is None else _surface
+    axes, nodes, ll = surface.grid(grid_size)
     weights = functools.reduce(np.multiply.outer, [_trapezoid_weights(axis) for axis in axes])
     if prior is not None:
         weights = weights * _prior_on_grid(prior, axes[0])
-    ll = fun(*nodes)
     ll = ll - ll.max()
     mass = np.exp(ll) * weights
     total = float(mass.sum())

@@ -446,7 +446,13 @@ def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     condition number below about 1e12 for a pair). The ratio has degree 0 in
     I, so that rule does not depend on the scale of the information.
     """
-    sq, d_p, _, _, _, cross = _track_moments(params, unknown)
+    return _information(params, unknown, _track_moments(params, unknown))
+
+
+def _information(params: ModelParams, unknown: tuple[str, ...], moments) -> np.ndarray:
+    """fisher_info from _track_moments(params, unknown), computed once by
+    callers that also read the moments."""
+    sq, d_p, _, _, _, cross = moments
     p2 = sq.p * sq.p
     as4 = (params.a * params.sigma2) ** 2
     rest_scale = sq.p * (1.0 - sq.a_coef * sq.a_coef)

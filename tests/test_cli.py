@@ -157,6 +157,17 @@ class TestFilter:
             assert lines == []
             assert "overflow" in err
 
+    def test_likelihood_overflowing_at_grid_nodes_exit_2(self, capsys, tmp_path):
+        # S0 is finite, but the likelihood overflows at some of a's grid
+        # nodes; mle used to print a = 0.56 for this file.
+        data = tmp_path / "x.csv"
+        write_series_csv(data, simulate(REF, 2000, seed=3).x * 1.7e152)
+        for argv in (["mle"], ["bayes", "--grid-size", "64"]):
+            code, lines, err = run_cli(capsys, argv + ["--unknown", "a", "--data", str(data)])
+            assert code == 2
+            assert lines == []
+            assert "not finite at" in err
+
     def test_missing_x_column_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         with open(bad, "w") as fh:

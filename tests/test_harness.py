@@ -15,15 +15,20 @@ from hidden_ar import (
     HorizonTooShort,
     ParamProblem,
     UnsupportedSet,
+    bayes,
     export,
     fisher_info,
+    mle,
     run_monte_carlo,
     run_replication,
     s_star_limit,
+    simulate,
     stationary,
 )
 import hidden_ar.adaptive as adaptive_mod
 import hidden_ar.harness as harness_mod
+import hidden_ar.likelihood as likelihood_mod
+import hidden_ar.model_core as model_core_mod
 from hidden_ar.harness import _ks_pvalues, _ks_statistic, _targets, write_columns
 
 from conftest import REF
@@ -241,6 +246,37 @@ class TestReplication:
         alone = run_replication(small_config(estimators=("onestep",)), 0, 5)
         assert [r for r in both if r["estimator"] == "onestep"] == alone
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}),
+            # A narrower a box keeps the lag count, and so the 512^2 grid, cheap.
+            ParamProblem(unknown=("f", "a"), bounds={"f": (0.1, 5.0), "a": (-0.6, 0.6)}),
+        ],
+        ids=["b", "f,a"],
+    )
+    def test_grid_estimators_share_one_surface_per_prefix(self, problem, monkeypatch):
+        # mle and bayes read one surface per checkpoint prefix: the lag
+        # statistics run once per prefix, and every row equals the
+        # estimator run alone on that prefix, bit for bit.
+        config = small_config(problem=problem, estimators=("mle", "bayes"), replications=1)
+        real = likelihood_mod._lag_statistics
+        calls = []
+
+        def counted(x, a_max):
+            calls.append(len(x) - 1)
+            return real(x, a_max)
+
+        monkeypatch.setattr(likelihood_mod, "_lag_statistics", counted)
+        rows = run_replication(config, 0, 0)
+        assert calls == [200, 400]
+        monkeypatch.setattr(likelihood_mod, "_lag_statistics", real)
+        x = simulate(REF, 400, config.seed, stream=0).x
+        for name, estimator in (("mle", mle), ("bayes", bayes)):
+            for t in (200, 400):
+                got = [r["value"] for r in rows if (r["estimator"], r["t"]) == (name, t)]
+                assert got == estimator(x[: t + 1], config.problem).tolist()
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
@@ -358,6 +394,34 @@ class TestAggregation:
                 assert len(cells) == 2 and all(c["target"] == targets[k] for c in cells)
             m_cells = [c for c in report.cells if (c["estimator"], c["coord"]) == ("adaptive", "m")]
             assert len(m_cells) == 2 and all(c["target"] == s_star_limit(REF, unknown) for c in m_cells)
+
+    @pytest.mark.parametrize("estimators", [("onestep", "adaptive"), ("onestep",)])
+    def test_targets_evaluate_the_information_once(self, estimators, monkeypatch):
+        # With or without the adaptive target, one report evaluates the
+        # track moments and the information once, and the targets equal
+        # the public functions' values bit for bit.
+        unknown = ("f", "a")
+        problem = ParamProblem(unknown=unknown, bounds={"f": (0.1, 5.0), "a": (-0.9, 0.9)})
+        config = small_config(problem=problem, estimators=estimators)
+        calls = []
+
+        def counting(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            return counted
+
+        for module in (model_core_mod, adaptive_mod):
+            for name in ("_track_moments", "_information"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        targets = _targets(config)
+        assert sorted(calls) == ["_information", "_track_moments"]
+        monkeypatch.undo()
+        inv_diagonal = np.linalg.inv(fisher_info(REF, unknown)).diagonal()
+        assert [targets[("onestep", coord)] for coord in unknown] == inv_diagonal.tolist()
+        if "adaptive" in estimators:
+            assert targets[("adaptive", "m")] == s_star_limit(REF, unknown)
 
     def test_singular_information_gives_no_targets(self):
         # At a = 0 a triple's information is singular: neither the onestep

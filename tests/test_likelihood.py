@@ -21,7 +21,8 @@ from hidden_ar import (
     simulate,
     stationary,
 )
-from hidden_ar.likelihood import _golden, _grid, _objective
+import hidden_ar.likelihood as likelihood_mod
+from hidden_ar.likelihood import _golden, _Surface
 
 from conftest import REF, problem_for
 
@@ -86,11 +87,11 @@ class TestLogLikelihood:
     def test_grid_evaluator_equals_per_node(self, unknown):
         problem = problem_for(REF, unknown)
         x = simulate(REF, 500, seed=403).x
-        _, mesh = _grid(problem, 64 if len(unknown) == 1 else 12)
+        size = 64 if len(unknown) == 1 else 12
+        _, mesh, got = _Surface(x, problem, (size,)).grid(size)
         nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        got = _objective(x, problem)(*nodes.T)
         want = [log_likelihood(x, problem.point(node)) for node in nodes]
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
 
     def test_short_series(self):
         with pytest.raises(SeriesTooShort):
@@ -216,12 +217,25 @@ class TestBayes:
 
     def test_degenerate_posterior(self, problem_b):
         # S0 just below the float64 maximum: the lag statistics are finite,
-        # but the likelihood overflows at every node. (Squares that overflow
-        # S0 itself raise ObservationsOverflow first.)
+        # but the likelihood overflows at every node. That is an input error,
+        # raised by the grid check, not a posterior that vanished.
         x = simulate(REF, 100, seed=72).x
         x = x * math.sqrt(0.999 * np.finfo(float).max / (x[1:] @ x[1:]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePosterior):
+        with pytest.raises(ObservationsOverflow, match="256 of 256 grid nodes"):
+            mle(x, problem_b)
+        with pytest.raises(ObservationsOverflow, match="512 of 512 grid nodes"):
             bayes(x, problem_b)
+
+    def test_vanishing_weights_are_degenerate(self):
+        # Every log-likelihood finite, but on a box a few ulp by 1e-300 wide
+        # the product of the trapezoid weights underflows to zero.
+        problem = ParamProblem(
+            unknown=("f", "a"),
+            bounds={"f": (1.0, 1.0000000000000009), "a": (0.0, 1e-300)},
+            known={"b": 1.0, "sigma2": 1.0},
+        )
+        with pytest.raises(DegeneratePosterior):
+            bayes(simulate(REF, 100, seed=72).x, problem, grid_size=64)
 
 
 @pytest.mark.parametrize(
@@ -238,6 +252,54 @@ def test_overflowing_observations_rejected(evaluate):
     x = simulate(REF, 2000, seed=74).x * 1e160
     with pytest.raises(ObservationsOverflow, match="overflow"):
         evaluate(x)
+
+
+@pytest.mark.parametrize("scale", [1.5e152, 1.7e152, 1.9e152])
+@pytest.mark.parametrize("estimator", [mle, bayes])
+def test_likelihood_overflowing_at_grid_nodes_rejected(estimator, scale):
+    # S0 and the lagged products are finite, but the residual sum of squares
+    # overflows at some nodes of a's grid: 5, 110 and 246 of mle's 256 at
+    # the three scales, where mle used to return a = 0.76, 0.56 and 0.04.
+    x = simulate(REF, 2000, seed=3).x * scale
+    with pytest.raises(ObservationsOverflow, match="grid nodes"):
+        estimator(x, problem_for(REF, ("a",)))
+
+
+def test_log_likelihood_overflow_rejected():
+    # It used to return -inf.
+    x = simulate(REF, 2000, seed=3).x * 1.9e152
+    with pytest.raises(ObservationsOverflow, match="at the candidate"):
+        log_likelihood(x, REF)
+
+
+def test_mle_refined_value_checked(problem_b, monkeypatch):
+    # Every scan node finite, the likelihood at the refined point not: the
+    # refined estimate is rejected rather than returned.
+    x = simulate(REF, 200, seed=75).x
+    surface = _Surface(x, problem_b, (256,))
+    monkeypatch.setattr(likelihood_mod, "_evaluate", lambda stats, **coordinates: -math.inf)
+    with pytest.raises(ObservationsOverflow, match="refined MLE"):
+        mle(x, problem_b, _surface=surface)
+
+
+class TestSharedSurface:
+    """One surface holding mle's scan grid and bayes's grid gives each
+    estimator exactly what it computes alone."""
+
+    @pytest.mark.parametrize("grid_size", [64, 512])
+    @pytest.mark.parametrize("unknown", [("b",), ("f", "a")])
+    def test_estimators_match_standalone(self, unknown, grid_size):
+        problem = problem_for(REF, unknown)
+        if unknown == ("f", "a"):
+            # A narrower a box keeps the lag count, and so the 512^2 grid, cheap.
+            problem = ParamProblem(unknown=unknown, bounds={"f": (0.1, 5.0), "a": (-0.6, 0.6)}, known=problem.known)
+        x = simulate(REF, 1000, seed=76).x
+        for t in (500, 1000):
+            prefix = x[: t + 1]
+            surface = _Surface(prefix, problem, (256, grid_size))
+            assert np.array_equal(mle(prefix, problem, _surface=surface), mle(prefix, problem))
+            shared = bayes(prefix, problem, grid_size, _surface=surface)
+            assert np.array_equal(shared, bayes(prefix, problem, grid_size))
 
 
 @pytest.mark.parametrize("estimator", [mle, bayes])
