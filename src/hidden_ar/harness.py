@@ -33,7 +33,7 @@ from scipy import special, stats
 
 from .adaptive import _excess_and_information, adaptive_filter
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
-from .likelihood import _GRIDS, MAX_DIM, _Surface, bayes, mle
+from .likelihood import MAX_DIM, _Surface, bayes, mle
 from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval, one_step
@@ -190,6 +190,39 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
     return [(v, math.floor(v * horizon)) for v in checkpoints]
 
 
+def _shared_grid_estimates(x, problem: ParamProblem, estimators, times) -> dict[tuple[str, int], Any]:
+    """The estimates of mle and bayes at each checkpoint prefix x[: t + 1],
+    or the error each raised, keyed (name, t); {} unless both are selected.
+
+    The two read one likelihood surface per prefix, built for both and
+    dropped once both have read it, so one lives at a time. Errors are kept,
+    not raised, for run_replication to raise in estimator order: each
+    (name, t) gives what a separate call gives, so a replication fails with
+    the same error as without sharing.
+    """
+    names = [name for name in estimators if name in ("mle", "bayes")]
+    if len(names) < 2:
+        return {}
+    out: dict[tuple[str, int], Any] = {}
+    for _, t in times:
+        prefix = x[: t + 1]
+        try:
+            surface = _Surface.for_estimators(prefix, problem, names)
+        except Exception as exc:  # from the lag statistics: each call alone raises it too
+            out.update(((name, t), exc) for name in names)
+            continue
+        for name in names:
+            # Module-level names, looked up at call time, so rebinding
+            # harness.mle or harness.bayes reaches these calls.
+            estimator = mle if name == "mle" else bayes
+            try:
+                out[name, t] = estimator(prefix, problem, _surface=surface)
+            except Exception as exc:
+                out[name, t] = exc
+        del surface  # before the next prefix's is built
+    return out
+
+
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
     """One replication's rows; a pure function of (config, indices), so any
     row can be regenerated in isolation from its stream id. Indices that
@@ -223,23 +256,13 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
             }
         )
 
-    # mle and bayes read one likelihood surface per prefix x[: t + 1], holding
-    # the grids of both. It is built on first use, so a failure surfaces at
-    # the same estimator and checkpoint as without sharing.
-    grid_sizes = [_GRIDS[name] for name in config.estimators if name in _GRIDS]
-    surfaces: dict[int, _Surface] = {}
-
-    def surface_at(t: int) -> _Surface:
-        if t not in surfaces:
-            surfaces[t] = _Surface(x[: t + 1], problem, grid_sizes)
-        return surfaces[t]
-
     track = None
     if "adaptive" in config.estimators:
         atrace = adaptive_filter(x, problem, config.delta, truth=config.params)
         track = atrace.theta_track
     elif "onestep" in config.estimators:
         track = one_step(x, problem, config.delta)
+    shared = _shared_grid_estimates(x, problem, config.estimators, times)
 
     for name in config.estimators:
         if name == "adaptive":
@@ -255,10 +278,14 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
                 values = track.theta_at(t)
             elif name == "mme":
                 values = mme(x[: t + 1], problem).values
+            elif (name, t) in shared:
+                values = shared[name, t]
+                if isinstance(values, Exception):
+                    raise values
             elif name == "mle":
-                values = mle(x[: t + 1], problem, _surface=surface_at(t))
+                values = mle(x[: t + 1], problem)
             else:
-                values = bayes(x[: t + 1], problem, _surface=surface_at(t))
+                values = bayes(x[: t + 1], problem)
             for coord, value in zip(problem.unknown, values):
                 emit(name, coord, v, t, value)
     return rows

@@ -33,11 +33,12 @@ Both read a likelihood surface: the lag statistics of one series plus the
 values at the nodes of every product grid asked for, from one evaluation
 over their concatenated nodes (elementwise, so each node's value is the one
 a separate evaluation gives). Called alone, mle and bayes build a surface
-holding their own grid; the Monte Carlo harness builds one per checkpoint
-prefix holding both, so the two share the statistics and the grid pass.
+holding their own grid; the Monte Carlo harness, when it runs both, builds
+one per checkpoint prefix holding both grids, so the two share the
+statistics and the grid pass.
 A node value that is not finite (observations so large that the residual
-sum of squares overflows) raises ObservationsOverflow, as do a non-finite
-refined MLE value and a non-finite log_likelihood.
+sum of squares overflows) raises ObservationsOverflow when its grid is
+read, as do a non-finite refined MLE value and a non-finite log_likelihood.
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ class _Surface:
     Building it computes the lag statistics once and evaluates the product
     grids of the given sizes (nodes per dimension, one or more) in one pass
     over their concatenated nodes. More than MAX_DIM unknowns raise
-    UnsupportedSet; a node value that is not finite raises
-    ObservationsOverflow. Calling it evaluates one argument per unknown in
-    canonical order: floats, or arrays that broadcast.
+    UnsupportedSet. Each grid is checked when read: a node value that is not
+    finite raises ObservationsOverflow counting that grid's nodes. Calling
+    it evaluates one argument per unknown in canonical order: floats, or
+    arrays that broadcast.
     """
 
     def __init__(self, x, problem: ParamProblem, sizes):
@@ -188,15 +190,16 @@ class _Surface:
             a_max = max(abs(v) for v in problem.bounds["a"])
         else:
             a_max = abs(problem.known["a"])
+        self._x = x
         self._problem = problem
         self._stats = _lag_statistics(x, a_max)
         grids = {size: _grid(problem, size) for size in sizes}
-        columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by the check below
-            values = self(*columns)
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        if bad:
-            raise _overflow(x, f"the log-likelihood of x is not finite at {bad} of {len(values)} grid nodes")
+        if len(grids) == 1:
+            columns = next(iter(grids.values()))[1]
+        else:
+            columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by grid()
+            values = self(*columns).ravel()
         self._grids = {}
         start = 0
         for size, (axes, nodes) in grids.items():
@@ -204,13 +207,23 @@ class _Surface:
             self._grids[size] = (axes, nodes, values[start:stop].reshape(nodes[0].shape))
             start = stop
 
+    @classmethod
+    def for_estimators(cls, x, problem: ParamProblem, names) -> "_Surface":
+        """A surface holding the grid each named estimator (mle, bayes)
+        reads at its defaults."""
+        return cls(x, problem, [_GRIDS[name] for name in names])
+
     def __call__(self, *columns):
         return _evaluate(self._stats, **self._problem.coordinates(columns))
 
     def grid(self, size: int) -> tuple[list[np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
         """The axes, node coordinates and log-likelihood values of the
         size^dim grid, each array of shape (size,) * dim."""
-        return self._grids[size]
+        axes, nodes, values = self._grids[size]
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise _overflow(self._x, f"the log-likelihood of x is not finite at {bad} of {values.size} grid nodes")
+        return axes, nodes, values
 
 
 def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.ndarray:

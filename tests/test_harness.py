@@ -13,6 +13,7 @@ from scipy import stats
 from hidden_ar import (
     ExperimentConfig,
     HorizonTooShort,
+    ObservationsOverflow,
     ParamProblem,
     UnsupportedSet,
     bayes,
@@ -276,6 +277,40 @@ class TestReplication:
             for t in (200, 400):
                 got = [r["value"] for r in rows if (r["estimator"], r["t"]) == (name, t)]
                 assert got == estimator(x[: t + 1], config.problem).tolist()
+
+
+    def test_one_grid_estimator_shares_nothing(self):
+        x = simulate(REF, 400, 0, stream=0).x
+        times = [(0.5, 200), (1.0, 400)]
+        problem = small_config().problem
+        assert harness_mod._shared_grid_estimates(x, problem, ("mme", "mle"), times) == {}
+        assert harness_mod._shared_grid_estimates(x, problem, ("bayes", "onestep"), times) == {}
+
+    @pytest.mark.parametrize(
+        "estimators, message",
+        [(("mle", "bayes"), "1 of 256 grid nodes"), (("bayes", "mle"), "1 of 512 grid nodes")],
+    )
+    def test_shared_surface_fails_as_separate_calls(self, estimators, message, monkeypatch):
+        # One node value is not finite: on bayes's grid alone at t = 200 and
+        # on mle's grid alone at t = 400. The replication raises the error of
+        # the first estimator in order, counting its own grid's nodes, as
+        # separate calls do; the first estimator alone raises the same.
+        config = small_config(estimators=estimators, replications=1)
+        lo, hi = config.problem.bounds["b"]
+        poisoned = {200: np.linspace(lo, hi, 512)[1], 400: np.linspace(lo, hi, 256)[1]}
+        real = likelihood_mod._evaluate
+
+        def evaluate(stats, a, b, f, sigma2):
+            value = real(stats, a, b, f, sigma2)
+            if isinstance(value, np.ndarray):
+                value = np.where(b == poisoned[stats.horizon], np.nan, value)
+            return value
+
+        monkeypatch.setattr(likelihood_mod, "_evaluate", evaluate)
+        with pytest.raises(ObservationsOverflow, match=message):
+            run_replication(config, 0, 0)
+        with pytest.raises(ObservationsOverflow, match=message):
+            run_replication(small_config(estimators=estimators[:1], replications=1), 0, 0)
 
 
 class TestDeterminism:

@@ -302,6 +302,26 @@ class TestSharedSurface:
             assert np.array_equal(shared, bayes(prefix, problem, grid_size))
 
 
+    def test_each_grid_checked_when_read(self, problem_b, monkeypatch):
+        # A node value that is not finite on bayes's grid alone: mle reads
+        # its own grid from the shared surface as it would alone, and bayes
+        # raises, counting only its grid's nodes.
+        x = simulate(REF, 200, seed=77).x
+        lo, hi = problem_b.bounds["b"]
+        poisoned = np.linspace(lo, hi, 512)[1]
+        real = likelihood_mod._evaluate
+
+        def evaluate(stats, a, b, f, sigma2):
+            value = real(stats, a, b, f, sigma2)
+            return np.where(b == poisoned, np.nan, value) if isinstance(value, np.ndarray) else value
+
+        monkeypatch.setattr(likelihood_mod, "_evaluate", evaluate)
+        surface = _Surface(x, problem_b, (256, 512))
+        assert np.array_equal(mle(x, problem_b, _surface=surface), mle(x, problem_b))
+        with pytest.raises(ObservationsOverflow, match="1 of 512 grid nodes"):
+            bayes(x, problem_b, _surface=surface)
+
+
 @pytest.mark.parametrize("estimator", [mle, bayes])
 @pytest.mark.parametrize("unknown", [("a", "f", "sigma2"), ("a", "b", "sigma2")])
 def test_grid_estimators_reject_a_triple(estimator, unknown):
