@@ -23,8 +23,9 @@ class HiddenArError(Exception):
 
 
 class ConditionA0Violated(HiddenArError, ValueError):
-    """A parameter value or bound leaves the admissible region
-    a^2 < 1, b > 0, f != 0, sigma2 > 0."""
+    """A parameter value or bound leaves the admissible region a^2 < 1,
+    b > 0, f != 0, sigma2 > 0, or the region where the stationary filter
+    can be evaluated in float64 (see ModelParams)."""
 
     def __init__(self, coordinate: str, message: str):
         self.coordinate = coordinate

@@ -26,7 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 from scipy import special, stats
@@ -40,22 +40,16 @@ from .onestep import learning_interval, one_step
 from .simulator import simulate
 
 
-class _Needs(NamedTuple):
-    """What an estimator needs from the config."""
-
-    first_t: Callable[[int, float], int]  # smallest checkpoint time t, given (T, delta)
-    max_dim: int | None  # most unknowns it takes; None: no limit
-
-
-# mme reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and
-# the adaptive track starts at tau + 1; learning_interval raises
-# HorizonTooShort for a horizon too short for any learning interval.
-_ESTIMATORS = {
-    "mme": _Needs(lambda T, delta: 3, None),
-    "onestep": _Needs(lambda T, delta: learning_interval(T, delta), None),
-    "mle": _Needs(lambda T, delta: 1, MAX_DIM),
-    "bayes": _Needs(lambda T, delta: 1, MAX_DIM),
-    "adaptive": _Needs(lambda T, delta: learning_interval(T, delta) + 1, None),
+# The smallest checkpoint time t each estimator takes, given (T, delta): mme
+# reads x_0..x_3, mle and bayes x_0 and x_1. theta_at needs t >= tau and the
+# adaptive track starts at tau + 1; learning_interval raises HorizonTooShort
+# for a horizon too short for any learning interval.
+_FIRST_T: dict[str, Callable[[int, float], int]] = {
+    "mme": lambda T, delta: 3,
+    "onestep": lambda T, delta: learning_interval(T, delta),
+    "mle": lambda T, delta: 1,
+    "bayes": lambda T, delta: 1,
+    "adaptive": lambda T, delta: learning_interval(T, delta) + 1,
 }
 
 
@@ -114,18 +108,13 @@ class ExperimentConfig:
             raise ValueError(f"checkpoints must lie in (0, 1], got {self.checkpoints}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
-        needs = []
         for name in self.estimators:
-            if name not in _ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}; choose from {tuple(_ESTIMATORS)}")
-            need = _ESTIMATORS[name]
-            if need.max_dim is not None and self.problem.dim > need.max_dim:
-                raise UnsupportedSet(
-                    f"{name} takes at most {need.max_dim} unknowns, got {self.problem.unknown}"
-                )
-            needs.append(need)
+            if name not in _FIRST_T:
+                raise ValueError(f"unknown estimator {name!r}; choose from {tuple(_FIRST_T)}")
+            if name in ("mle", "bayes") and self.problem.dim > MAX_DIM:
+                raise UnsupportedSet(f"{name} takes at most {MAX_DIM} unknowns, got {self.problem.unknown}")
         for horizon in self.horizons:
-            first = max(need.first_t(horizon, self.delta) for need in needs)
+            first = max(_FIRST_T[name](horizon, self.delta) for name in self.estimators)
             for v, t in _checkpoint_times(horizon, self.checkpoints):
                 if t < first:
                     raise ValueError(
@@ -190,18 +179,18 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
     return [(v, math.floor(v * horizon)) for v in checkpoints]
 
 
-def _shared_grid_estimates(x, problem: ParamProblem, estimators, times) -> dict[tuple[str, int], Any]:
-    """The estimates of mle and bayes at each checkpoint prefix x[: t + 1],
-    or the error each raised, keyed (name, t); {} unless both are selected.
+def _grid_estimates(x, problem: ParamProblem, estimators, times) -> dict[tuple[str, int], Any]:
+    """The estimates of mle, bayes or both, whichever are selected, at each
+    checkpoint prefix x[: t + 1], or the error each raised, keyed (name, t).
 
-    The two read one likelihood surface per prefix, built for both and
-    dropped once both have read it, so one lives at a time. Errors are kept,
-    not raised, for run_replication to raise in estimator order: each
+    They read one likelihood surface per prefix, built for those selected
+    and dropped once they have read it, so one lives at a time. Errors are
+    kept, not raised, for run_replication to raise in estimator order: each
     (name, t) gives what a separate call gives, so a replication fails with
-    the same error as without sharing.
+    the same error as without the surface.
     """
     names = [name for name in estimators if name in ("mle", "bayes")]
-    if len(names) < 2:
+    if not names:  # a surface without a grid would still compute lag statistics
         return {}
     out: dict[tuple[str, int], Any] = {}
     for _, t in times:
@@ -262,7 +251,7 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         track = atrace.theta_track
     elif "onestep" in config.estimators:
         track = one_step(x, problem, config.delta)
-    shared = _shared_grid_estimates(x, problem, config.estimators, times)
+    grid = _grid_estimates(x, problem, config.estimators, times)
 
     for name in config.estimators:
         if name == "adaptive":
@@ -272,20 +261,15 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
                 emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
             continue
         for v, t in times:
-            # Module-level names, looked up at call time, so rebinding
-            # harness.mme, harness.mle or harness.bayes reaches these calls.
             if name == "onestep":
                 values = track.theta_at(t)
             elif name == "mme":
+                # Looked up at call time, so rebinding harness.mme reaches it.
                 values = mme(x[: t + 1], problem).values
-            elif (name, t) in shared:
-                values = shared[name, t]
+            else:
+                values = grid[name, t]
                 if isinstance(values, Exception):
                     raise values
-            elif name == "mle":
-                values = mle(x[: t + 1], problem)
-            else:
-                values = bayes(x[: t + 1], problem)
             for coord, value in zip(problem.unknown, values):
                 emit(name, coord, v, t, value)
     return rows

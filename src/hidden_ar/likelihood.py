@@ -33,9 +33,9 @@ Both read a likelihood surface: the lag statistics of one series plus the
 values at the nodes of every product grid asked for, from one evaluation
 over their concatenated nodes (elementwise, so each node's value is the one
 a separate evaluation gives). Called alone, mle and bayes build a surface
-holding their own grid; the Monte Carlo harness, when it runs both, builds
-one per checkpoint prefix holding both grids, so the two share the
-statistics and the grid pass.
+holding their own grid. The Monte Carlo harness builds one per checkpoint
+prefix holding the grid of each of the two it selects and passes it to
+each, so when it selects both they share the statistics and the grid pass.
 A node value that is not finite (observations so large that the residual
 sum of squares overflows) raises ObservationsOverflow when its grid is
 read, as do a non-finite refined MLE value and a non-finite log_likelihood.
@@ -172,7 +172,7 @@ def _grid(problem: ParamProblem, size: int) -> tuple[list[np.ndarray], tuple[np.
 
 class _Surface:
     """The log-likelihood of one series x as a function of a problem's
-    unknown coordinates, for mle and bayes to share.
+    unknown coordinates, for mle and bayes to read.
 
     Building it computes the lag statistics once and evaluates the product
     grids of the given sizes (nodes per dimension, one or more) in one pass
@@ -194,12 +194,9 @@ class _Surface:
         self._problem = problem
         self._stats = _lag_statistics(x, a_max)
         grids = {size: _grid(problem, size) for size in sizes}
-        if len(grids) == 1:
-            columns = next(iter(grids.values()))[1]
-        else:
-            columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
+        columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by grid()
-            values = self(*columns).ravel()
+            values = self(*columns)
         self._grids = {}
         start = 0
         for size, (axes, nodes) in grids.items():
@@ -234,7 +231,7 @@ def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.nda
     is not finite at a scan node or at the refined point.
 
     _surface, when given, is a likelihood surface of x and problem holding
-    the scan grid; the Monte Carlo harness shares one with bayes."""
+    the scan grid: the Monte Carlo harness passes one per prefix."""
     problem.require_complete()
     size = _GRIDS["mle"]
     surface = _Surface(x, problem, (size,)) if _surface is None else _surface
@@ -300,7 +297,7 @@ def bayes(
     ObservationsOverflow when the likelihood is not finite at a grid node.
 
     _surface, when given, is a likelihood surface of x and problem holding
-    the grid_size grid; the Monte Carlo harness shares one with mle."""
+    the grid_size grid: the Monte Carlo harness passes one per prefix."""
     problem.require_complete()
     grid_size = as_whole("grid_size", grid_size)
     if grid_size < 64:

@@ -35,6 +35,7 @@ adaptive.s_star_limit share it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +66,10 @@ _SUPPORTED_SETS = {
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A full parameter point (a, b, f, sigma2), validated on construction."""
+    """A full parameter point (a, b, f, sigma2), validated on construction:
+    besides condition A0, f^2 must not underflow to 0 and every field of
+    stationary(params) must be finite (else ConditionA0Violated names f, or
+    the one of b, f and sigma2 farthest from 1 in magnitude)."""
 
     a: float
     b: float
@@ -89,6 +93,12 @@ class ModelParams:
             raise ConditionA0Violated("f", "need f != 0")
         if self.sigma2 <= 0.0:
             raise ConditionA0Violated("sigma2", f"need sigma2 > 0, got sigma2={self.sigma2}")
+        if self.f * self.f == 0.0:
+            raise ConditionA0Violated("f", f"f^2 underflows to 0 at f={self.f}")
+        sq = stationary(self)
+        if not all(map(math.isfinite, vars(sq).values())):
+            name = max(("b", "f", "sigma2"), key=lambda n: abs(math.log(abs(getattr(self, n)))))
+            raise ConditionA0Violated(name, f"the stationary filter quantities are not finite at {self.as_dict()}")
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in COORDINATES}
@@ -121,7 +131,8 @@ class ParamProblem:
     ``unknown`` is stored in canonical order. ``bounds`` maps each unknown
     coordinate to a finite interval whose closed version stays admissible.
     ``known`` maps the remaining coordinates to their fixed values; it may be
-    left empty at construction and filled by :func:`validate`.
+    left empty at construction and filled by :func:`validate`. A complete
+    problem raises ConditionA0Violated where a corner of its bounds box does.
     """
 
     unknown: tuple[str, ...]
@@ -172,6 +183,12 @@ class ParamProblem:
             if name in self.unknown:
                 raise ValueError(f"coordinate {name!r} is both unknown and known")
         object.__setattr__(self, "known", known)
+        if self.is_complete():
+            for corner in itertools.product(*bounds.values()):
+                try:
+                    ModelParams(**self.coordinates(corner))
+                except ConditionA0Violated as exc:
+                    raise ConditionA0Violated(exc.coordinate, f"at the bounds corner {corner}: {exc}") from None
 
     @property
     def dim(self) -> int:
@@ -237,7 +254,7 @@ def validate(params: ModelParams, problem: ParamProblem) -> ParamProblem:
                 f"known value {name}={value} contradicts params.{name}={have}"
             )
     known = {name: getattr(params, name) for name in COORDINATES if name not in problem.unknown}
-    return dataclasses.replace(problem, known=known)
+    return problem if problem.known == known else dataclasses.replace(problem, known=known)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,25 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, coordinate",
+        [
+            (["filter", "--T", "200", "--f", "1e-200"], "f"),
+            (["filter", "--T", "200", "--f", "1e200"], "f"),
+            (["filter", "--T", "200", "--b", "1e200"], "b"),
+            (["adaptive", "--T", "2000", "--sigma2", "1e300"], "sigma2"),
+            (["bayes", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
+            (["mle", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
+            (["onestep", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
+        ],
+    )
+    def test_point_or_box_the_filter_cannot_evaluate_exit_2(self, capsys, tmp_path, monkeypatch, argv, coordinate):
+        monkeypatch.chdir(tmp_path)
+        code, lines, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.startswith(f"error: {coordinate}: ")
+        assert lines == [] and not list(tmp_path.iterdir())
+
     def test_negative_seed_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["simulate", "--seed", "-1", "--out", str(tmp_path)])
         assert code == 2

@@ -50,6 +50,11 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+_B = ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)})
+# A narrower a box keeps the lag count, and so the 512^2 grid, cheap.
+_FA = ParamProblem(unknown=("f", "a"), bounds={"f": (0.1, 5.0), "a": (-0.6, 0.6)})
+
+
 class TestConfig:
     def test_roundtrip(self):
         config = small_config()
@@ -248,19 +253,24 @@ class TestReplication:
         assert [r for r in both if r["estimator"] == "onestep"] == alone
 
     @pytest.mark.parametrize(
-        "problem",
+        "problem, estimators",
         [
-            ParamProblem(unknown=("b",), bounds={"b": (0.1, 5.0)}),
-            # A narrower a box keeps the lag count, and so the 512^2 grid, cheap.
-            ParamProblem(unknown=("f", "a"), bounds={"f": (0.1, 5.0), "a": (-0.6, 0.6)}),
+            pytest.param(_B, ("mle", "bayes"), id="b"),
+            pytest.param(_FA, ("mle", "bayes"), id="f,a"),
+            pytest.param(_B, ("mle",), id="b-mle"),
+            pytest.param(_B, ("bayes",), id="b-bayes"),
+            pytest.param(_FA, ("mle",), id="f,a-mle"),
+            pytest.param(_FA, ("bayes",), id="f,a-bayes"),
+            # The reference experiment selects neither: no surface at all.
+            pytest.param(_B, ("onestep", "adaptive"), id="b-no-grid-estimator"),
         ],
-        ids=["b", "f,a"],
     )
-    def test_grid_estimators_share_one_surface_per_prefix(self, problem, monkeypatch):
-        # mle and bayes read one surface per checkpoint prefix: the lag
+    def test_grid_estimators_share_one_surface_per_prefix(self, problem, estimators, monkeypatch):
+        # mle, bayes or both read one surface per checkpoint prefix: the lag
         # statistics run once per prefix, and every row equals the
         # estimator run alone on that prefix, bit for bit.
-        config = small_config(problem=problem, estimators=("mle", "bayes"), replications=1)
+        config = small_config(problem=problem, estimators=estimators, replications=1)
+        grid = [name for name in estimators if name in ("mle", "bayes")]
         real = likelihood_mod._lag_statistics
         calls = []
 
@@ -270,21 +280,14 @@ class TestReplication:
 
         monkeypatch.setattr(likelihood_mod, "_lag_statistics", counted)
         rows = run_replication(config, 0, 0)
-        assert calls == [200, 400]
+        assert calls == ([200, 400] if grid else [])
         monkeypatch.setattr(likelihood_mod, "_lag_statistics", real)
         x = simulate(REF, 400, config.seed, stream=0).x
-        for name, estimator in (("mle", mle), ("bayes", bayes)):
+        for name in grid:
+            estimator = mle if name == "mle" else bayes
             for t in (200, 400):
                 got = [r["value"] for r in rows if (r["estimator"], r["t"]) == (name, t)]
                 assert got == estimator(x[: t + 1], config.problem).tolist()
-
-
-    def test_one_grid_estimator_shares_nothing(self):
-        x = simulate(REF, 400, 0, stream=0).x
-        times = [(0.5, 200), (1.0, 400)]
-        problem = small_config().problem
-        assert harness_mod._shared_grid_estimates(x, problem, ("mme", "mle"), times) == {}
-        assert harness_mod._shared_grid_estimates(x, problem, ("bayes", "onestep"), times) == {}
 
     @pytest.mark.parametrize(
         "estimators, message",

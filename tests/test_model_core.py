@@ -74,6 +74,24 @@ class TestModelParams:
         with pytest.raises(ConditionA0Violated):
             REF.replace(**changes)
 
+    # Points that pass the A0 inequalities but overflow or underflow the
+    # stationary filter in float64: f^2 underflows to 0, or gamma*, P or
+    # the gain come out infinite or NaN.
+    @pytest.mark.parametrize(
+        "changes, coordinate",
+        [({"f": 1e-200}, "f"), ({"f": 1e200}, "f"), ({"b": 1e200}, "b"), ({"sigma2": 1e300}, "sigma2")],
+        ids=["tiny f", "huge f", "huge b", "huge sigma2"],
+    )
+    def test_rejects_points_the_filter_cannot_evaluate(self, changes, coordinate):
+        with pytest.raises(ConditionA0Violated, match=f"^{coordinate}: ") as info:
+            REF.replace(**changes)
+        assert info.value.coordinate == coordinate
+
+    @pytest.mark.parametrize("changes", [{"b": 1e-300}, {"sigma2": 1e-300}, {"a": 1e-300}])
+    def test_tiny_values_stay_admissible(self, changes):
+        sq = stationary(REF.replace(**changes))
+        assert all(math.isfinite(v) for v in dataclasses.astuple(sq))
+
     def test_rejects_non_numeric(self):
         with pytest.raises(ConditionA0Violated):
             ModelParams(a=0.5, b="one", f=1.0, sigma2=1.0)
@@ -125,6 +143,22 @@ class TestParamProblem:
             ParamProblem(unknown=("b",), bounds={"b": (-0.1, 5.0)})
         with pytest.raises(ConditionA0Violated):
             ParamProblem(unknown=("f",), bounds={"f": (-1.0, 1.0)})
+
+    def test_rejects_a_box_the_filter_cannot_evaluate(self):
+        # f^2 underflows to 0 at the f corners; a complete problem says so
+        # when built, an incomplete one when validate completes it.
+        bounds = {"f": (1e-200, 2e-200), "a": (0.0, 1e-130)}
+        with pytest.raises(ConditionA0Violated, match=r"^f: at the bounds corner \(1e-200, 0.0\)") as info:
+            ParamProblem(unknown=("f", "a"), bounds=bounds, known={"b": 1.0, "sigma2": 1.0})
+        assert info.value.coordinate == "f"
+        problem = ParamProblem(unknown=("f", "a"), bounds=bounds)
+        with pytest.raises(ConditionA0Violated, match="^f: "):
+            validate(REF, problem)
+        with pytest.raises(ConditionA0Violated, match="^b: "):
+            validate(REF, ParamProblem(unknown=("b",), bounds={"b": (0.1, 1e200)}))
+        # Tiny b and sigma2 corners stay admissible.
+        for name in ("b", "sigma2"):
+            assert validate(REF, ParamProblem(unknown=(name,), bounds={name: (1e-300, 5.0)})).is_complete()
 
     def test_known_conflicts(self):
         with pytest.raises(ValueError):
