@@ -48,14 +48,12 @@ class FilterTrace:
     innovations : standardized one-step errors (x_t - f*m_{t-1})/sqrt(P_t),
                   length len(m) - 1
     dm          : optional map coordinate -> derivative track, aligned with m
-    params      : parameter point the filter ran at
     """
 
     m: np.ndarray
     gamma: np.ndarray | float
     innovations: np.ndarray | None
     dm: dict[str, np.ndarray] | None
-    params: ModelParams
 
 
 def filter_transient(
@@ -78,7 +76,7 @@ def filter_transient(
         zeta[t - 1] = (x[t] - f * m[t - 1]) / math.sqrt(p)
         m[t] = (a * s2 * m[t - 1] + a * f * gamma[t - 1] * x[t]) / p
         gamma[t] = riccati_map(params, gamma[t - 1])
-    return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None, params=params)
+    return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None)
 
 
 def _require_finite(**starts: float) -> None:
@@ -108,7 +106,7 @@ def filter_stationary(params: ModelParams, x, m0: float = 0.0) -> FilterTrace:
     sq = stationary(params)
     m = _stationary_means(x, m0, sq)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
-    return FilterTrace(m=m, gamma=sq.gamma_star, innovations=zeta, dm=None, params=params)
+    return FilterTrace(m=m, gamma=sq.gamma_star, innovations=zeta, dm=None)
 
 
 def filter_derivative(
@@ -130,6 +128,4 @@ def filter_derivative(
     m = _stationary_means(x, m0, sq)
     dm = _derivative_track(x, m, dm0, sq, grad)
     zeta = (x[1:] - params.f * m[:-1]) / math.sqrt(sq.p)
-    return FilterTrace(
-        m=m, gamma=sq.gamma_star, innovations=zeta, dm={wrt: dm}, params=params
-    )
+    return FilterTrace(m=m, gamma=sq.gamma_star, innovations=zeta, dm={wrt: dm})

@@ -342,7 +342,6 @@ class StationaryGradient:
                    a*f*sigma2*d_gamma_star / P^(3/2))
     """
 
-    wrt: str
     d_gamma_star: float
     d_p: float
     d_a_coef: float
@@ -392,7 +391,6 @@ def stationary_gradient(params: ModelParams, wrt: str) -> StationaryGradient:
     d_gain = (da * f * g + a * df * g + a * f * d_gamma) / p - a * f * g * d_p / (p * p)
     d_b_coef = math.sqrt(p) * d_gain
     return StationaryGradient(
-        wrt=wrt,
         d_gamma_star=d_gamma,
         d_p=d_p,
         d_a_coef=d_a_coef,

@@ -50,7 +50,6 @@ class MmeEstimate:
     """A method-of-moments estimate.
 
     values     : unknown-coordinate estimates in the problem's canonical order
-    params     : the full parameter point (estimates merged with knowns)
     clip_flags : coordinate -> "low" | "high" for coordinates that were clipped
     degenerate : labels of near-singular inversion events that were resolved
                  by clipping
@@ -58,7 +57,6 @@ class MmeEstimate:
     """
 
     values: np.ndarray
-    params: ModelParams
     clip_flags: dict[str, str]
     degenerate: tuple[str, ...]
     stats: MomentStats
@@ -189,7 +187,6 @@ def mme(x_prefix, problem: ParamProblem) -> MmeEstimate:
     clipped, side = problem.clip(values)
     return MmeEstimate(
         values=clipped,
-        params=problem.point(clipped),
         clip_flags={name: "low" if s < 0 else "high" for name, s in zip(problem.unknown, side) if s},
         degenerate=tuple(degenerate),
         stats=stats,

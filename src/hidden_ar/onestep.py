@@ -29,13 +29,6 @@ preliminary for a is still visible, and the ratio nears 1 only at longer
 horizons (about 1.1 at T=1e5). The learning index tau only sets where the
 correction sum starts. Every emitted point is clipped into the closed
 bounds box.
-
-one_step's method selects an O(T) batch evaluation (cumulative sums) or
-the algebraically identical recurrent update
-
-    u_t = u_{t-1} + ((t - tau))^{-1} (I^{-1} g_t - u_{t-1});
-
-the two agree to machine rounding and serve as mutual oracles.
 """
 
 from __future__ import annotations
@@ -130,19 +123,15 @@ def _score_increments(
     return out
 
 
-def one_step(
-    x, problem: ParamProblem, delta: float = 0.6, method: str = "batch", prelim=None
-) -> EstimatorTrace:
+def one_step(x, problem: ParamProblem, delta: float = 0.6, prelim=None) -> EstimatorTrace:
     """One-step MLE process for the problem's unknown set.
 
-    method is "batch" (cumulative sums) or "recurrent" (the running update).
-    prelim, when given, replaces the moment preliminary with explicit values
-    in canonical coordinate order (clipped into bounds; NaN or inf raises
-    ValueError); useful for crafted scenarios and for studying the
-    correction in isolation.
+    The correction sums of every row come from one cumulative sum of the
+    score increments, O(T) for the whole path. prelim, when given, replaces
+    the moment preliminary with explicit values in canonical coordinate
+    order; a value outside its bounds, NaN or inf raises ValueError. It
+    serves crafted scenarios and the study of the correction in isolation.
     """
-    if method not in ("batch", "recurrent"):
-        raise ValueError(f"method must be 'batch' or 'recurrent', got {method!r}")
     x = as_series(x, 2)
     horizon = len(x) - 1
     tau = learning_interval(horizon, delta)
@@ -151,25 +140,19 @@ def one_step(
         prelim_values = prelim_est.values
     else:
         prelim_est = None
-        prelim = np.atleast_1d(np.asarray(prelim, dtype=float))
-        if not np.isfinite(prelim).all():
-            raise ValueError(f"need a finite preliminary, got {prelim.tolist()}")
-        prelim_values, _ = problem.clip(prelim)
+        prelim_values = np.array(prelim, dtype=float, ndmin=1)
+        if not np.isfinite(prelim_values).all():
+            raise ValueError(f"need a finite preliminary, got {prelim_values.tolist()}")
+        _, side = problem.clip(prelim_values)
+        for name, value, out in zip(problem.unknown, prelim_values.tolist(), side):
+            if out:
+                raise ValueError(f"preliminary {name}={value} is outside its bounds {problem.bounds[name]}")
     params_tau = problem.point(prelim_values)
     inv = np.linalg.inv(fisher_info(params_tau, problem.unknown))
 
     g = _score_increments(params_tau, x, tau, problem.unknown)
     steps = np.arange(1, len(g) + 1, dtype=float)  # t - tau for t = tau+1..T
-    if method == "batch":
-        u = np.cumsum(g, axis=0) @ inv / steps[:, None]
-    else:
-        u = np.empty_like(g)
-        corr = g @ inv
-        prev = np.zeros(g.shape[1])
-        for j in range(len(g)):
-            prev = prev + (corr[j] - prev) / steps[j]
-            u[j] = prev
-
+    u = np.cumsum(g, axis=0) @ inv / steps[:, None]
     path, side = problem.clip(prelim_values[None, :] + u[1:])  # t = tau+2 .. T
     return EstimatorTrace(
         tau=tau,

@@ -6,7 +6,8 @@ import csv
 import numpy as np
 import pytest
 
-from hidden_ar import ModelParams, ParamProblem, stationary_from
+from hidden_ar import ModelParams, ParamProblem, fisher_info, stationary_from
+from hidden_ar.onestep import _score_increments
 
 # Every unknown set ParamProblem accepts, in canonical order.
 ALL_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"), ("a", "f", "sigma2"), ("a", "b", "sigma2"))
@@ -77,6 +78,25 @@ def plugged_recursion(trace, x) -> np.ndarray:
     """recursion_loop on an adaptive trace's own plug-in values."""
     sq = stationary_from(**trace.problem.coordinates(trace.theta_plug.T))
     return recursion_loop(sq.a_coef, sq.gain * x[trace.tau + 1 :])
+
+
+def running_update(trace, x, problem) -> tuple[np.ndarray, np.ndarray]:
+    """A one-step trace's path and clipped flags rebuilt from its own tau and
+    preliminary by the running update
+
+        u_t = u_{t-1} + (I^{-1} g_t - u_{t-1}) / (t - tau),   u_tau = 0,
+
+    one Python step at a time: the oracle for one_step's cumulative sums."""
+    params = problem.point(trace.prelim)
+    inv = np.linalg.inv(fisher_info(params, problem.unknown))
+    corr = _score_increments(params, x, trace.tau, problem.unknown) @ inv
+    u = []
+    prev = np.zeros(problem.dim)
+    for step, c in enumerate(corr, start=1):
+        prev = prev + (c - prev) / step
+        u.append(prev)
+    path, side = problem.clip(trace.prelim + np.array(u[1:]))  # t = tau+2 .. T
+    return path, side.any(axis=1)
 
 
 def write_series_csv(path, values):

@@ -530,11 +530,11 @@ class TestKsNormal:
         config = small_config(horizons=(400, 600), replications=5)
         real = adaptive_mod.one_step
 
-        def broken(x, problem, delta=0.6, method="batch", prelim=None):
+        def broken(x, problem, delta=0.6, prelim=None):
             broken.calls += 1
             if broken.calls == 3:
                 raise RuntimeError("synthetic failure")
-            return real(x, problem, delta, method, prelim)
+            return real(x, problem, delta, prelim)
 
         broken.calls = 0
         monkeypatch.setattr(adaptive_mod, "one_step", broken)
@@ -565,12 +565,12 @@ class TestFailureCapture:
         real = adaptive_mod.one_step
         target = run_replication(config, 0, 4)[0]["stream"]
 
-        def broken(x, problem, delta=0.6, method="batch", prelim=None):
+        def broken(x, problem, delta=0.6, prelim=None):
             if broken.calls == 4:
                 broken.calls += 1
                 raise RuntimeError("synthetic failure")
             broken.calls += 1
-            return real(x, problem, delta, method, prelim)
+            return real(x, problem, delta, prelim)
 
         broken.calls = 0
         monkeypatch.setattr(adaptive_mod, "one_step", broken)

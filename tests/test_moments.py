@@ -80,8 +80,6 @@ class TestMme:
         assert est.clip_flags == {}
         assert est.degenerate == ()
         assert abs(est.values[0] - REF.b) < 0.05
-        assert est.params.b == est.values[0]
-        assert est.params.a == REF.a
 
     def test_pair_consistency(self, problem_fa):
         x = simulate(REF, 200000, seed=33).x

@@ -20,7 +20,7 @@ from hidden_ar import (
 )
 from hidden_ar.cli import main
 
-from conftest import REF, REF_VALUES, problem_for
+from conftest import ALL_SETS, REF, REF_VALUES, problem_for, running_update
 
 
 class TestLearningInterval:
@@ -80,18 +80,6 @@ class TestOneStepScalar:
         with pytest.raises(ValueError):
             trace.theta_at(1001)
 
-    def test_batch_equals_recurrent(self, problem_b):
-        x = simulate(REF, 3000, seed=43).x
-        batch = one_step(x, problem_b, method="batch")
-        rec = one_step(x, problem_b, method="recurrent")
-        assert float(np.abs(batch.path - rec.path).max()) < 1e-12
-        np.testing.assert_array_equal(batch.clipped, rec.clipped)
-
-    def test_invalid_method(self, problem_b):
-        x = simulate(REF, 1000, seed=44).x
-        with pytest.raises(ValueError):
-            one_step(x, problem_b, method="online")
-
     def test_preliminary_is_full_series_moment_estimate(self, problem_b):
         x = simulate(REF, 2000, seed=45).x
         trace = one_step(x, problem_b)
@@ -102,8 +90,8 @@ class TestOneStepScalar:
         trace = one_step(x, problem_b, prelim=[0.9])
         assert trace.prelim_estimate is None
         np.testing.assert_array_equal(trace.prelim, np.array([0.9]))
-        clipped = one_step(x, problem_b, prelim=[99.0])
-        np.testing.assert_array_equal(clipped.prelim, np.array([5.0]))
+        with pytest.raises(ValueError, match=r"preliminary b=99.0 is outside its bounds \(0.1, 5.0\)"):
+            one_step(x, problem_b, prelim=[99.0])
 
     def test_short_series_rejected(self, problem_b):
         x = simulate(REF, 10, seed=47).x
@@ -154,10 +142,12 @@ class TestZeroCorrection:
             known={"a": 0.0, "f": 2.0, "sigma2": 3.0},
         )
         x = np.full(501, 2.0)
-        for method in ("batch", "recurrent"):
-            trace = one_step(x, problem, method=method, prelim=[0.5])
-            assert np.all(trace.path == 0.5), method
-            assert not trace.clipped.any()
+        trace = one_step(x, problem, prelim=[0.5])
+        assert np.all(trace.path == 0.5)
+        assert not trace.clipped.any()
+        path, clipped = running_update(trace, x, problem)
+        assert np.all(path == 0.5)
+        assert not clipped.any()
 
     def test_information_positive_at_crafted_point(self):
         problem = ParamProblem(
@@ -173,17 +163,16 @@ class TestZeroCorrection:
 class TestCausality:
     """Each path row uses the observations up to its own time only."""
 
-    @pytest.mark.parametrize("method", ["batch", "recurrent"])
     @pytest.mark.parametrize("unknown", [("b",), ("f", "a"), ("a", "b", "sigma2")])
-    def test_path_ignores_later_observations(self, method, unknown):
+    def test_path_ignores_later_observations(self, unknown):
         x = simulate(REF, 2000, seed=31).x
         s = 1200
         moved = x.copy()
         moved[s + 1 :] += np.random.default_rng(5).uniform(-3.0, 3.0, len(x) - s - 1)
         problem = problem_for(REF, unknown)
         prelim = problem.values_of(REF)
-        base = one_step(x, problem, method=method, prelim=prelim)
-        other = one_step(moved, problem, method=method, prelim=prelim)
+        base = one_step(x, problem, prelim=prelim)
+        other = one_step(moved, problem, prelim=prelim)
         upto = base.t_grid <= s
         assert np.array_equal(base.path[upto], other.path[upto])
         assert not np.array_equal(base.path[~upto], other.path[~upto])
@@ -198,12 +187,6 @@ class TestOneStepPair:
         assert abs(final[1] - REF.a) < 0.2
         assert trace.path.shape == (10000 - 251 - 1, 2)
 
-    def test_batch_equals_recurrent(self, problem_fa):
-        x = simulate(REF, 3000, seed=50).x
-        batch = one_step(x, problem_fa, method="batch")
-        rec = one_step(x, problem_fa, method="recurrent")
-        assert float(np.abs(batch.path - rec.path).max()) < 1e-12
-
     def test_singular_information_rejected(self):
         # With b and f near zero the observations are almost white noise, so
         # the information about (f, a) is near-singular at the preliminary.
@@ -217,17 +200,18 @@ class TestOneStepPair:
             one_step(x, problem, prelim=[1e-3, -0.5])
 
 
-@pytest.mark.parametrize("unknown", [("sigma2",), ("a", "f", "sigma2"), ("a", "b", "sigma2")])
-def test_sets_with_sigma2_run(unknown):
+@pytest.mark.parametrize("unknown", ALL_SETS)
+def test_path_equals_running_update(unknown):
     # fisher_info covers every set ParamProblem accepts, so the process runs
-    # on the sets with sigma2 too, and its two forms agree.
-    x = simulate(REF, 1000, seed=54).x
+    # on each of them, and its cumulative sums agree with the running update.
+    x = simulate(REF, 3000, seed=43).x
     problem = problem_for(REF, unknown)
-    batch = one_step(x, problem)
-    rec = one_step(x, problem, method="recurrent")
-    assert batch.path.shape == (1000 - batch.tau - 1, len(unknown))
-    assert np.isfinite(batch.path).all()
-    assert float(np.abs(batch.path - rec.path).max()) < 1e-12
+    trace = one_step(x, problem)
+    path, clipped = running_update(trace, x, problem)
+    assert trace.path.shape == (3000 - trace.tau - 1, len(unknown))
+    assert np.isfinite(trace.path).all()
+    assert float(np.abs(trace.path - path).max()) < 1e-12
+    np.testing.assert_array_equal(trace.clipped, clipped)
 
 
 class TestEfficiencySmoke:
