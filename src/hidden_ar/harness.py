@@ -12,7 +12,9 @@ isolation, and the report is bit-identical across runs.
 
 The report is JSON-ready as it is built. A non-finite row value (an
 estimate, or an adaptive filter error) fails its replication, which becomes
-an error row with the message.
+an error row with the message. A replication runs its estimators checkpoint
+by checkpoint, so it records the first error in (checkpoint, estimator)
+order.
 A statistic that is undefined is None where it is computed: a cell's var
 for n < 2, its ratio without a risk or a positive target, and its KS test
 without a positive target, for n < 2 or on a "y" cell.
@@ -179,43 +181,18 @@ def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
     return [(v, math.floor(v * horizon)) for v in checkpoints]
 
 
-def _grid_estimates(x, problem: ParamProblem, estimators, times) -> dict[tuple[str, int], Any]:
-    """The estimates of mle, bayes or both, whichever are selected, at each
-    checkpoint prefix x[: t + 1], or the error each raised, keyed (name, t).
-
-    They read one likelihood surface per prefix, built for those selected
-    and dropped once they have read it, so one lives at a time. Errors are
-    kept, not raised, for run_replication to raise in estimator order: each
-    (name, t) gives what a separate call gives, so a replication fails with
-    the same error as without the surface.
-    """
-    names = [name for name in estimators if name in ("mle", "bayes")]
-    if not names:  # a surface without a grid would still compute lag statistics
-        return {}
-    out: dict[tuple[str, int], Any] = {}
-    for _, t in times:
-        prefix = x[: t + 1]
-        try:
-            surface = _Surface.for_estimators(prefix, problem, names)
-        except Exception as exc:  # from the lag statistics: each call alone raises it too
-            out.update(((name, t), exc) for name in names)
-            continue
-        for name in names:
-            # Module-level names, looked up at call time, so rebinding
-            # harness.mle or harness.bayes reaches these calls.
-            estimator = mle if name == "mle" else bayes
-            try:
-                out[name, t] = estimator(prefix, problem, _surface=surface)
-            except Exception as exc:
-                out[name, t] = exc
-        del surface  # before the next prefix's is built
-    return out
-
-
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
     """One replication's rows; a pure function of (config, indices), so any
     row can be regenerated in isolation from its stream id. Indices that
-    are not whole numbers or lie outside the config raise ValueError."""
+    are not whole numbers or lie outside the config raise ValueError.
+
+    The whole-series fit (adaptive_filter, or one_step) runs first. Then
+    each checkpoint prefix x[: t + 1] runs the selected estimators in config
+    order; mle and bayes read one likelihood surface of that prefix, built
+    when the first of them runs. Rows come back estimator by estimator.
+    Each estimator gives the value, or raises the error, it gives alone; a
+    replication raises the first error in (checkpoint, estimator) order.
+    """
     horizon_index, rep = as_whole("horizon_index", horizon_index), as_whole("rep", rep)
     if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
         raise ValueError(f"indices ({horizon_index}, {rep}) lie outside the config's horizons or replications")
@@ -226,13 +203,13 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     traj = simulate(config.params, horizon, config.seed, keep_hidden=keep_hidden, stream=stream)
     x = traj.x
     times = _checkpoint_times(horizon, config.checkpoints)
-    rows: list[dict[str, Any]] = []
+    rows: dict[str, list[dict[str, Any]]] = {name: [] for name in config.estimators}
 
     def emit(estimator: str, coord: str, v: float, t: int, value: float) -> None:
         value = float(value)
         if not math.isfinite(value):
             raise ArithmeticError(f"{estimator}:{coord} at t={t} is not finite: {value}")
-        rows.append(
+        rows[estimator].append(
             {
                 "estimator": estimator,
                 "coord": coord,
@@ -251,28 +228,33 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         track = atrace.theta_track
     elif "onestep" in config.estimators:
         track = one_step(x, problem, config.delta)
-    grid = _grid_estimates(x, problem, config.estimators, times)
+    grid_names = [name for name in config.estimators if name in ("mle", "bayes")]
 
-    for name in config.estimators:
-        if name == "adaptive":
-            for v, t in times:
+    for v, t in times:
+        prefix = x[: t + 1]
+        surface = None  # the last prefix's, released before this one's is built
+        for name in config.estimators:
+            if name == "adaptive":
                 m_star = atrace.m_star_at(t)
                 emit("adaptive", "m", v, t, m_star - float(atrace.oracle_m[t]))
                 emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
-            continue
-        for v, t in times:
+                continue
+            # mme, mle and bayes are looked up at call time, so rebinding
+            # harness.mme, harness.mle or harness.bayes reaches these calls.
             if name == "onestep":
                 values = track.theta_at(t)
             elif name == "mme":
-                # Looked up at call time, so rebinding harness.mme reaches it.
-                values = mme(x[: t + 1], problem).values
+                values = mme(prefix, problem).values
             else:
-                values = grid[name, t]
-                if isinstance(values, Exception):
-                    raise values
+                # Built here, not per prefix: an earlier estimator's error
+                # comes first, and a run without mle or bayes builds none.
+                if surface is None:
+                    surface = _Surface.for_estimators(prefix, problem, grid_names)
+                estimator = mle if name == "mle" else bayes
+                values = estimator(prefix, problem, _surface=surface)
             for coord, value in zip(problem.unknown, values):
                 emit(name, coord, v, t, value)
-    return rows
+    return [row for name in config.estimators for row in rows[name]]
 
 
 def _targets(config: ExperimentConfig) -> dict[tuple[str, str], float | None]:

@@ -294,11 +294,21 @@ def stationary_from(a, b, f, sigma2) -> StationaryQuantities:
     The coordinates are floats or arrays that broadcast together. Float
     inputs stay on Python float arithmetic; both square roots are correctly
     rounded, so an array entry equals the float result bit for bit.
+
+    gamma_star is 2d / (r + c) for c > 0 and (r - c) / 2 otherwise, with
+    r = sqrt(c^2 + 4d): neither form subtracts, so neither cancels when
+    4d << c^2. Where c^2 + 4d overflows, gamma_star is infinite, so
+    ModelParams rejects the point.
     """
     c, d = _quadratic_coefficients(a, b, f, sigma2)
-    sqrt = np.sqrt if isinstance(c, np.ndarray) else math.sqrt
-    root = sqrt(c * c + 4.0 * d)
-    gamma_star = 0.5 * (root - c)
+    if isinstance(c, np.ndarray):
+        root = np.sqrt(c * c + 4.0 * d)
+        both = root + np.abs(c)
+        gamma_star = np.where((c > 0.0) & (root < math.inf), 2.0 * d / both, 0.5 * both)
+    else:
+        root = math.sqrt(c * c + 4.0 * d)
+        both = root + abs(c)
+        gamma_star = 2.0 * d / both if c > 0.0 and root < math.inf else 0.5 * both
     big_gamma = f * f * gamma_star
     p = sigma2 + big_gamma
     return StationaryQuantities(

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -290,30 +291,57 @@ class TestReplication:
                 assert got == estimator(x[: t + 1], config.problem).tolist()
 
     @pytest.mark.parametrize(
-        "estimators, message",
-        [(("mle", "bayes"), "1 of 256 grid nodes"), (("bayes", "mle"), "1 of 512 grid nodes")],
+        "poisoned, estimators, message",
+        [
+            # bayes's grid at t = 200, mle's at t = 400: the checkpoint decides.
+            pytest.param({200: (512,), 400: (256,)}, ("mle", "bayes"), "1 of 512 grid nodes", id="by-checkpoint"),
+            pytest.param({200: (512,), 400: (256,)}, ("bayes", "mle"), "1 of 512 grid nodes", id="by-checkpoint-reversed"),
+            # Both grids at t = 200: the estimator order decides.
+            pytest.param({200: (256, 512)}, ("mle", "bayes"), "1 of 256 grid nodes", id="same-checkpoint"),
+            pytest.param({200: (256, 512)}, ("bayes", "mle"), "1 of 512 grid nodes", id="same-checkpoint-reversed"),
+        ],
     )
-    def test_shared_surface_fails_as_separate_calls(self, estimators, message, monkeypatch):
-        # One node value is not finite: on bayes's grid alone at t = 200 and
-        # on mle's grid alone at t = 400. The replication raises the error of
-        # the first estimator in order, counting its own grid's nodes, as
-        # separate calls do; the first estimator alone raises the same.
+    def test_replication_fails_with_first_error_by_checkpoint(self, poisoned, estimators, message, monkeypatch):
+        # One node value is not finite on each poisoned grid (named by its
+        # size) at its checkpoint. The replication raises the first error in
+        # (checkpoint, estimator) order, counting that grid's own nodes; each
+        # estimator alone still raises its own grid's error.
         config = small_config(estimators=estimators, replications=1)
         lo, hi = config.problem.bounds["b"]
-        poisoned = {200: np.linspace(lo, hi, 512)[1], 400: np.linspace(lo, hi, 256)[1]}
+        nodes = {t: [np.linspace(lo, hi, size)[1] for size in sizes] for t, sizes in poisoned.items()}
         real = likelihood_mod._evaluate
 
         def evaluate(stats, a, b, f, sigma2):
             value = real(stats, a, b, f, sigma2)
             if isinstance(value, np.ndarray):
-                value = np.where(b == poisoned[stats.horizon], np.nan, value)
+                value = np.where(np.isin(b, nodes.get(stats.horizon, [])), np.nan, value)
             return value
 
         monkeypatch.setattr(likelihood_mod, "_evaluate", evaluate)
         with pytest.raises(ObservationsOverflow, match=message):
             run_replication(config, 0, 0)
-        with pytest.raises(ObservationsOverflow, match=message):
-            run_replication(small_config(estimators=estimators[:1], replications=1), 0, 0)
+        for name, size in (("mle", 256), ("bayes", 512)):
+            with pytest.raises(ObservationsOverflow, match=f"1 of {size} grid nodes"):
+                run_replication(small_config(estimators=(name,), replications=1), 0, 0)
+
+    def test_one_surface_alive_at_a_time(self, monkeypatch):
+        # Each checkpoint prefix's surface is released before the next
+        # prefix's is built, and none outlives the replication.
+        config = small_config(estimators=("mle", "bayes"), replications=1)
+        assert config.checkpoints == (0.5, 1.0)
+        real = likelihood_mod._Surface.for_estimators
+        built, alive = [], []
+
+        def for_estimators(x, problem, names):
+            alive.append(sum(ref() is not None for ref in built))
+            surface = real(x, problem, names)
+            built.append(weakref.ref(surface))
+            return surface
+
+        monkeypatch.setattr(likelihood_mod._Surface, "for_estimators", for_estimators)
+        run_replication(config, 0, 0)
+        assert alive == [0, 0]
+        assert [ref() for ref in built] == [None, None]
 
 
 class TestDeterminism:

@@ -268,6 +268,17 @@ class TestStationary:
             assert abs(sq.a_coef) < 1.0
             assert sq.gamma_star > 0.0
 
+    @pytest.mark.parametrize("b", [1e-4, 1e-8, 1e-10])
+    def test_root_is_a_fixed_point_for_small_b(self, b):
+        # With 4d << c^2 the form (sqrt(c^2 + 4d) - c)/2 cancels: at b = 1e-10
+        # it gave gamma* = 0. The root is a fixed point of the recursion to
+        # rounding, on the float and the array path alike.
+        params = REF.replace(b=b)
+        gamma = stationary(params).gamma_star
+        assert abs(riccati_map(params, gamma) - gamma) / gamma < 1e-12
+        columns = {name: np.array([getattr(params, name)]) for name in COORDINATES}
+        assert stationary_from(**columns).gamma_star[0] == gamma
+
     def test_array_function_matches_scalar(self):
         rng = np.random.default_rng(103)
         points = [random_params(rng) for _ in range(200)]

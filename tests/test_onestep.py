@@ -188,16 +188,12 @@ class TestOneStepPair:
         assert trace.path.shape == (10000 - 251 - 1, 2)
 
     def test_singular_information_rejected(self):
-        # With b and f near zero the observations are almost white noise, so
-        # the information about (f, a) is near-singular at the preliminary.
-        problem = ParamProblem(
-            unknown=("f", "a"),
-            bounds={"f": (1e-4, 5.0), "a": (-0.9, 0.9)},
-            known={"b": 1e-6, "sigma2": 1.0},
-        )
+        # At a = 0 the observations are white noise of variance
+        # f^2 b^2 + sigma2, so b and sigma2 cannot be told apart: the
+        # information about (a, b, sigma2) at that preliminary is singular.
         x = simulate(REF, 1000, seed=52).x
         with pytest.raises(FisherSingular):
-            one_step(x, problem, prelim=[1e-3, -0.5])
+            one_step(x, problem_for(REF, ("a", "b", "sigma2")), prelim=[0.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("unknown", ALL_SETS)
