@@ -296,9 +296,6 @@ class TestReplication:
             # bayes's grid at t = 200, mle's at t = 400: the checkpoint decides.
             pytest.param({200: (512,), 400: (256,)}, ("mle", "bayes"), "1 of 512 grid nodes", id="by-checkpoint"),
             pytest.param({200: (512,), 400: (256,)}, ("bayes", "mle"), "1 of 512 grid nodes", id="by-checkpoint-reversed"),
-            # Both grids at t = 200: the estimator order decides.
-            pytest.param({200: (256, 512)}, ("mle", "bayes"), "1 of 256 grid nodes", id="same-checkpoint"),
-            pytest.param({200: (256, 512)}, ("bayes", "mle"), "1 of 512 grid nodes", id="same-checkpoint-reversed"),
         ],
     )
     def test_replication_fails_with_first_error_by_checkpoint(self, poisoned, estimators, message, monkeypatch):
@@ -306,6 +303,20 @@ class TestReplication:
         # size) at its checkpoint. The replication raises the first error in
         # (checkpoint, estimator) order, counting that grid's own nodes; each
         # estimator alone still raises its own grid's error.
+        self._assert_first_error(poisoned, estimators, message, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "estimators, message",
+        [(("mle", "bayes"), "1 of 256 grid nodes"), (("bayes", "mle"), "1 of 512 grid nodes")],
+    )
+    def test_shared_surface_fails_as_separate_calls(self, estimators, message, monkeypatch):
+        # One node value is not finite on both grids at t = 200. The shared
+        # surface raises the error of the first estimator in order, counting
+        # its own grid's nodes, as separate calls in that order do.
+        self._assert_first_error({200: (256, 512)}, estimators, message, monkeypatch)
+
+    @staticmethod
+    def _assert_first_error(poisoned, estimators, message, monkeypatch):
         config = small_config(estimators=estimators, replications=1)
         lo, hi = config.problem.bounds["b"]
         nodes = {t: [np.linspace(lo, hi, size)[1] for size in sizes] for t, sizes in poisoned.items()}
