@@ -24,10 +24,12 @@ per series in O(T J); after that each parameter node costs O(J) (Horner's
 rule in A), so grid scans and refinement steps never revisit the series.
 
 The MLE maximizes L over the closed bounds box by a coarse grid scan (256
-nodes per dimension) followed by coordinate-wise golden-section refinement
-to bracket width 1e-8. The Bayes estimator is the posterior mean under a
-positive prior on the box, computed by trapezoid quadrature over a product
-grid of grid_size nodes per dimension with log-sum-exp stabilized weights.
+nodes per dimension) followed by coordinate-wise bounded Brent searches
+(scipy.optimize.fminbound), each over one grid spacing either side of the
+current point, to a tolerance of 1e-9 times the coordinate's box width. The
+Bayes estimator is the posterior mean under a positive prior on the box,
+computed by trapezoid quadrature over a product grid of grid_size nodes per
+dimension with log-sum-exp stabilized weights.
 
 Both read a likelihood surface: the lag statistics of one series plus the
 values at the nodes of every product grid asked for, from one evaluation
@@ -49,6 +51,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import fminbound
 
 from .errors import (
     DegeneratePosterior,
@@ -60,8 +63,6 @@ from .errors import (
 )
 from .model_core import ModelParams, ParamProblem, stationary_from
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-8
 _FLAT_TOL = 1e-9
 _TAIL_TOL = 2.0**-54  # eps/4 for float64
 # The most unknowns mle and bayes take: their grids hold size^dim nodes.
@@ -140,29 +141,6 @@ def log_likelihood(x, candidate: ModelParams) -> float:
     return value
 
 
-def _golden(fun, lo: float, hi: float) -> float:
-    """Golden-section maximization on [lo, hi]; ties keep the left
-    subinterval so equal-likelihood plateaus resolve toward smaller values."""
-    a, b = lo, hi
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    yc = fun(c)
-    yd = fun(d)
-    while h > _BRACKET_TOL:
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INVPHI * h
-            yc = fun(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _grid(problem: ParamProblem, size: int) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
     """The axes of the size^dim product grid over the bounds box and its
     node coordinates, one array of shape (size,) * dim per unknown."""
@@ -225,7 +203,9 @@ class _Surface:
 
 def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.ndarray:
     """Maximum-likelihood estimate of at most MAX_DIM unknown coordinates
-    (canonical order; more raise UnsupportedSet). Emits a FlatLikelihood
+    (canonical order; more raise UnsupportedSet): the argmax of a 256-node
+    scan per dimension, refined by bounded Brent searches one coordinate at
+    a time until none moves by 1e-9 of its box width. Emits a FlatLikelihood
     warning and returns the grid argmax when the likelihood surface is flat
     to within 1e-9 across the scan. ObservationsOverflow when the likelihood
     is not finite at a scan node or at the refined point.
@@ -243,8 +223,9 @@ def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.nda
         return np.array(point)
     bounds = [problem.bounds[name] for name in problem.unknown]
     spacing = [float(axis[1] - axis[0]) for axis in axes]
-    # Coordinate-wise refinement, cycling until every coordinate is optimal
-    # given the others: a coordinate that moves resets the count to 1.
+    # Coordinate-wise searches, cycling until every coordinate is optimal
+    # given the others; a tolerance relative to the box keeps it unit-free.
+    tol = [1e-9 * (hi - lo) for lo, hi in bounds]
     quiet = 0
     for step in range(50 * problem.dim):
         k = step % problem.dim
@@ -253,11 +234,11 @@ def mle(x, problem: ParamProblem, *, _surface: _Surface | None = None) -> np.nda
 
         def along(g):
             trial = list(point)
-            trial[k] = g
-            return surface(*trial)
+            trial[k] = float(g)  # fminbound passes float64; floats evaluate faster
+            return -surface(*trial)
 
-        refined = _golden(along, lo, hi)
-        quiet = quiet + 1 if abs(refined - point[k]) < _BRACKET_TOL else 1
+        refined = float(fminbound(along, lo, hi, xtol=tol[k], disp=0))
+        quiet = quiet + 1 if abs(refined - point[k]) < tol[k] else 1
         point[k] = refined
         if quiet == problem.dim:
             break

@@ -132,7 +132,8 @@ class ParamProblem:
     coordinate to a finite interval whose closed version stays admissible.
     ``known`` maps the remaining coordinates to their fixed values; it may be
     left empty at construction and filled by :func:`validate`. A complete
-    problem raises ConditionA0Violated where a corner of its bounds box does.
+    problem raises ConditionA0Violated where a corner of its bounds box does,
+    or a corner with a moved to its smallest |a| in the box.
     """
 
     unknown: tuple[str, ...]
@@ -184,11 +185,14 @@ class ParamProblem:
                 raise ValueError(f"coordinate {name!r} is both unknown and known")
         object.__setattr__(self, "known", known)
         if self.is_complete():
-            for corner in itertools.product(*bounds.values()):
+            # The corners, and a at its smallest |a| in the box, where
+            # c = sigma2 (1 - a^2) / f^2 - b^2 is largest.
+            axes = [(lo, hi, min(max(0.0, lo), hi)) if name == "a" else (lo, hi) for name, (lo, hi) in bounds.items()]
+            for point in itertools.product(*axes):
                 try:
-                    ModelParams(**self.coordinates(corner))
+                    ModelParams(**self.coordinates(point))
                 except ConditionA0Violated as exc:
-                    raise ConditionA0Violated(exc.coordinate, f"at the bounds corner {corner}: {exc}") from None
+                    raise ConditionA0Violated(exc.coordinate, f"at the bounds point {point}: {exc}") from None
 
     @property
     def dim(self) -> int:
@@ -466,10 +470,12 @@ def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     the remaining terms are exactly 0.0 for b and f, where the closed form
     stands alone.
 
-    Raises FisherSingular unless trace(I) > 0 and det(I) >= 1e-12 for one
-    coordinate, det(I)/trace(I)^dim >= 1e-12 for several (positive definite,
-    condition number below about 1e12 for a pair). The ratio has degree 0 in
-    I, so that rule does not depend on the scale of the information.
+    Raises FisherSingular unless J = S*I*S, S = diag(|theta_i|) with 1 for
+    a, has trace(J) > 0 and det(J) >= 1e-12 for one coordinate, and
+    det(J)/trace(J)^dim >= 1e-12 for several (positive definite, condition
+    number below about 1e12 for a pair). Rescaling x -> c*x multiplies b, f
+    and sigma2 by powers of c and divides I by the same powers, so J and the
+    rule do not depend on the units of x.
     """
     return _information(params, unknown, _track_moments(params, unknown))
 
@@ -485,8 +491,10 @@ def _information(params: ModelParams, unknown: tuple[str, ...], moments) -> np.n
     matrix = np.array(
         [[d_p[i] * d_p[j] * (p2 + as4) / (2.0 * p2 * (p2 - as4)) + cross[i][j] / rest_scale for j in n] for i in n]
     )
-    trace = float(matrix.trace())
+    scales = np.array([1.0 if name == "a" else abs(getattr(params, name)) for name in unknown])
+    scaled = matrix * np.outer(scales, scales)
+    trace = float(scaled.trace())
     scale = trace ** len(unknown) if len(unknown) > 1 else 1.0
-    if not (trace > 0.0 and np.linalg.det(matrix) >= 1e-12 * scale):
+    if not (trace > 0.0 and np.linalg.det(scaled) >= 1e-12 * scale):
         raise FisherSingular(f"information for {unknown} is singular or near-singular: {matrix.tolist()}")
     return matrix

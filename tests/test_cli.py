@@ -94,6 +94,8 @@ class TestSimulate:
             (["bayes", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
             (["mle", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
             (["onestep", "--T", "100", "--unknown", "f,a", "--bounds", "f=1e-200:2e-200,a=0:1e-130"], "f"),
+            # Every corner is fine; the filter overflows at a = 0, f = 5e-78.
+            (["mle", "--T", "200", "--unknown", "f,a", "--bounds", "f=5e-78:1,a=-0.9:0.9"], "f"),
         ],
     )
     def test_point_or_box_the_filter_cannot_evaluate_exit_2(self, capsys, tmp_path, monkeypatch, argv, coordinate):
@@ -251,6 +253,30 @@ class TestEstimators:
             capsys, ["bayes", "--T", "100", "--grid-size", "8"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["onestep", "--unknown", "sigma2", "--f", "1000", "--sigma2", "1e6", "--bounds", "sigma2=5e4:5e6"],
+            [
+                "adaptive",
+                "--unknown",
+                "a,f,sigma2",
+                "--f",
+                "0.001",
+                "--sigma2",
+                "1e-6",
+                "--bounds",
+                "f=1e-4:5e-3,sigma2=5e-8:5e-6",
+            ],
+        ],
+    )
+    def test_other_units_run(self, capsys, tmp_path, argv):
+        # x measured in other units: the information is no more singular
+        # than at f = sigma2 = 1.
+        code, lines, _ = run_cli(capsys, argv + ["--T", "2000", "--out", str(tmp_path)])
+        assert code == 0
+        assert lines
 
     def test_singular_information_exit_1(self, capsys, tmp_path):
         # A constant-free near-zero series drives the moment preliminary to

@@ -16,13 +16,15 @@ from hidden_ar import (
     SeriesTooShort,
     UnsupportedSet,
     bayes,
+    fisher_info,
     log_likelihood,
     mle,
     simulate,
     stationary,
 )
 import hidden_ar.likelihood as likelihood_mod
-from hidden_ar.likelihood import _golden, _Surface
+from hidden_ar.likelihood import _Surface
+from hidden_ar.onestep import _score_increments
 
 from conftest import REF, problem_for
 
@@ -98,13 +100,48 @@ class TestLogLikelihood:
             log_likelihood(np.array([1.0]), REF)
 
 
-class TestGolden:
-    def test_ties_resolve_left(self):
-        assert _golden(lambda g: 0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-7)
+# Points and boxes for the optimality test (|a| <= 0.9 keeps the lag count
+# at 378). The third box starts at its point, so about half the estimates
+# land on a lower bound.
+WIDE = {"a": (-0.9, 0.9), "b": (0.05, 5.0), "f": (0.05, 5.0), "sigma2": (0.05, 5.0)}
+OPTIMALITY_CASES = (
+    (REF, WIDE),
+    (ModelParams(a=-0.7, b=0.5, f=2.0, sigma2=0.3), WIDE),
+    (ModelParams(a=0.1, b=2.0, f=0.5, sigma2=1.5), {"a": (0.1, 0.9), "b": (2.0, 5.0), "f": (0.5, 5.0), "sigma2": (1.5, 5.0)}),
+)
 
-    def test_finds_interior_maximum(self):
-        got = _golden(lambda g: -(g - 0.37) ** 2, 0.0, 1.0)
-        assert got == pytest.approx(0.37, abs=1e-7)
+
+class TestMleOptimality:
+    # The oracle is the filter score (onestep._score_increments from m0 = 0,
+    # independent of the lag statistics) at mle's point. Each interior
+    # coordinate's score must vanish to 1e-5 of its standard deviation
+    # sqrt(T I_kk); a coordinate within 1e-6 of the box width from a bound
+    # must have a score that points out of the box.
+    @pytest.mark.parametrize("horizon", [200, 1000, 10000])
+    @pytest.mark.parametrize("case", range(len(OPTIMALITY_CASES)))
+    @pytest.mark.parametrize("unknown", [("b",), ("f",), ("a",), ("sigma2",), ("f", "a")])
+    def test_score_vanishes_or_points_out(self, unknown, case, horizon):
+        truth, box = OPTIMALITY_CASES[case]
+        problem = ParamProblem(
+            unknown=unknown,
+            bounds={name: box[name] for name in unknown},
+            known={name: getattr(truth, name) for name in ("a", "b", "f", "sigma2") if name not in unknown},
+        )
+        for seed in range(4):
+            x = simulate(truth, horizon, seed=1000 * case + seed).x
+            est = problem.point(mle(x, problem))
+            score = _score_increments(est, x, 0, unknown).sum(axis=0)
+            info = fisher_info(est, unknown)
+            for k, name in enumerate(unknown):
+                lo, hi = problem.bounds[name]
+                value = getattr(est, name)
+                near = 1e-6 * (hi - lo)
+                if value - lo <= near:
+                    assert score[k] <= 0.0, (seed, name, value, score)
+                elif hi - value <= near:
+                    assert score[k] >= 0.0, (seed, name, value, score)
+                else:
+                    assert abs(score[k]) <= 1e-5 * math.sqrt(horizon * info[k, k]), (seed, name, value, score)
 
 
 class TestMle:
@@ -115,7 +152,7 @@ class TestMle:
         assert abs(est[0] - REF.b) < 0.05
 
     def test_scalar_agrees_with_dense_scan(self, problem_b):
-        # The grid + golden refinement must land on the true argmax of the
+        # The grid scan and its refinement must land on the true argmax of the
         # likelihood restricted to the bounds, checked by a denser scan.
         x = simulate(REF, 2000, seed=63).x
         est = mle(x, problem_b)[0]

@@ -148,7 +148,7 @@ class TestParamProblem:
         # f^2 underflows to 0 at the f corners; a complete problem says so
         # when built, an incomplete one when validate completes it.
         bounds = {"f": (1e-200, 2e-200), "a": (0.0, 1e-130)}
-        with pytest.raises(ConditionA0Violated, match=r"^f: at the bounds corner \(1e-200, 0.0\)") as info:
+        with pytest.raises(ConditionA0Violated, match=r"^f: at the bounds point \(1e-200, 0.0\)") as info:
             ParamProblem(unknown=("f", "a"), bounds=bounds, known={"b": 1.0, "sigma2": 1.0})
         assert info.value.coordinate == "f"
         problem = ParamProblem(unknown=("f", "a"), bounds=bounds)
@@ -156,6 +156,10 @@ class TestParamProblem:
             validate(REF, problem)
         with pytest.raises(ConditionA0Violated, match="^b: "):
             validate(REF, ParamProblem(unknown=("b",), bounds={"b": (0.1, 1e200)}))
+        # Every corner of this box is admissible, but at a = 0, where
+        # c = sigma2 (1 - a^2) / f^2 - b^2 is largest, c^2 overflows.
+        with pytest.raises(ConditionA0Violated, match=r"^f: at the bounds point \(5e-78, 0.0\)"):
+            ParamProblem(unknown=("f", "a"), bounds={"f": (5e-78, 1.0), "a": (-0.9, 0.9)}, known={"b": 1.0, "sigma2": 1.0})
         # Tiny b and sigma2 corners stay admissible.
         for name in ("b", "sigma2"):
             assert validate(REF, ParamProblem(unknown=(name,), bounds={name: (1e-300, 5.0)})).is_complete()
