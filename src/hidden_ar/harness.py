@@ -368,7 +368,7 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
     ``threads`` must be 1: a thread pool measured slower than this loop and
     was removed; the keyword stays for callers that still pass it.
     """
-    if threads != 1:
+    if as_whole("threads", threads) != 1:
         raise ValueError(f"run_monte_carlo runs serially; threads must be 1, got {threads}")
     rows: list[dict[str, Any]] = []
     for hi, horizon in enumerate(config.horizons):

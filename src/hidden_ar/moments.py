@@ -12,14 +12,18 @@ converge to the moment functions
     Phi2 = f^2 b^2 (a-1) / (1+a) - sigma2,
     Phi3 = f^2 b^2 a (a-1) / (1+a).
 
-Each supported unknown set is estimated by inverting the corresponding
-subsystem of {S_i = Phi_i} in closed form and clipping the result into the
-bounds box. Inversion formulas are the self-consistent ones: each satisfies
-the round-trip identity mme(Phi(theta)) = theta exactly.
+Every supported unknown set is estimated by one sequence of closed-form
+steps, each clipped into the bounds box before the next reads it: a (from
+S1; from S1 and S2 when f is also unknown; from S2 and S3 when sigma2 is),
+then the scale f or b (from S1 when sigma2 is known, from S3 otherwise),
+then sigma2 (from S1). Each step satisfies the round trip mme(Phi(theta)) =
+theta exactly.
 
-Degenerate denominators (near-zero divisors, negative radicands) never
-raise: they push the raw value to the appropriate extreme, the ordinary
-clip resolves it, and the event is reported in the ``degenerate`` field.
+Degenerate steps never raise: they push the raw value to the appropriate
+extreme, the ordinary clip resolves it, and the event is reported in the
+``degenerate`` field. The denominator of a counts as near zero when
+|den| <= 1e-12 * S1, so the rule does not depend on the units of x; the
+pole a(a-1) of the triples has no units and is tested against 1e-12.
 """
 
 from __future__ import annotations
@@ -83,102 +87,64 @@ def phi(params: ModelParams) -> tuple[float, float, float]:
     return phi1, phi2, phi3
 
 
-def _scale_root(problem: ParamProblem, target: str, rad: float, reason: str, degenerate: list[str]) -> float:
-    """The scale coordinate ``target`` (f or b) whose square is ``rad``; f
-    takes the sign of its bounds. A nonpositive ``rad`` gives zero and is
-    recorded as ``target:reason``."""
-    if rad <= 0.0:
-        degenerate.append(f"{target}:{reason}")
-        mag = 0.0
-    else:
-        mag = math.sqrt(rad)
-    if target == "b":
-        return mag
-    lo, _ = problem.bounds["f"]
-    return (1.0 if lo > 0.0 else -1.0) * mag
-
-
-def _scale_from_s1(s1: float, problem: ParamProblem, target: str, a: float, degenerate: list[str]) -> float:
-    """f (or b) from S1 = 2 f^2 b^2 / (1+a) + 2 sigma2, given a and the
-    known b (or f) and sigma2."""
-    other = problem.known["b" if target == "f" else "f"]
-    rad = (s1 - 2.0 * problem.known["sigma2"]) * (1.0 + a) / (2.0 * other * other)
-    return _scale_root(problem, target, rad, "radicand_nonpositive", degenerate)
-
-
 def _invert(stats: MomentStats, problem: ParamProblem) -> tuple[dict[str, float], list[str]]:
-    """Raw (unclipped, except where later steps reuse a clipped value)
-    inversion of the moment system for the problem's unknown set."""
-    known = problem.known
+    """The steps of the module docstring for the problem's unknown set; each
+    reads the known values and earlier clipped results from one point."""
     s1, s2, s3 = stats.s1, stats.s2, stats.s3
     unknown = problem.unknown
     degenerate: list[str] = []
     raw: dict[str, float] = {}
+    point = dict(problem.known)
 
-    if unknown in (("f",), ("b",)):
-        raw[unknown[0]] = _scale_from_s1(s1, problem, unknown[0], known["a"], degenerate)
-    elif unknown == ("a",):
-        b, f, s2k = known["b"], known["f"], known["sigma2"]
-        den = s1 - 2.0 * s2k
-        if abs(den) < _DEGENERATE_TOL:
+    def settle(name: str, value: float) -> None:
+        raw[name] = value
+        lo, hi = problem.bounds[name]
+        point[name] = lo if not value >= lo else min(value, hi)
+
+    if "a" in unknown:
+        # a = num / den + shift; ``side`` is the sign den approaches zero from.
+        if "sigma2" in unknown:  # from S2 and S3; S1 + 2 S2 = 2 f^2 b^2 a / (1+a)
+            num, den, shift = 2.0 * s3, s1 + 2.0 * s2, 1.0
+            side = den
+        else:  # S1 - 2 sigma2 = 2 f^2 b^2 / (1+a) is positive under the model
+            den, side = s1 - 2.0 * point["sigma2"], 1.0
+            if "f" in unknown:  # from S1 and S2
+                num, shift = s1 + 2.0 * s2, 0.0
+            else:  # from S1
+                f, b = point["f"], point["b"]
+                num, shift = 2.0 * f * f * b * b, -1.0
+        if abs(den) <= _DEGENERATE_TOL * s1:
             degenerate.append("a:denominator_near_zero")
-            raw["a"] = math.inf
+            settle("a", math.inf if num * side >= 0.0 else -math.inf)
         else:
-            raw["a"] = 2.0 * f * f * b * b / den - 1.0
-    elif unknown == ("sigma2",):
-        a, b, f = known["a"], known["b"], known["f"]
-        raw["sigma2"] = s1 / 2.0 - f * f * b * b / (1.0 + a)
-    elif unknown == ("f", "a"):
-        den = s1 - 2.0 * known["sigma2"]
-        if abs(den) < _DEGENERATE_TOL:
-            degenerate.append("a:denominator_near_zero")
-            a_raw = math.inf if s1 + 2.0 * s2 >= 0.0 else -math.inf
-        else:
-            a_raw = (s1 + 2.0 * s2) / den
-        raw["a"] = a_raw
-        raw["f"] = _scale_from_s1(s1, problem, "f", _clip_one(problem, "a", a_raw), degenerate)
-    elif unknown in (("a", "f", "sigma2"), ("a", "b", "sigma2")):
-        scale_name = "b" if unknown == ("a", "f", "sigma2") else "f"
-        scale = known[scale_name]
-        den = s1 + 2.0 * s2
-        if abs(den) < _DEGENERATE_TOL:
-            degenerate.append("a:denominator_near_zero")
-            a_raw = math.inf if s3 * den >= 0.0 else -math.inf
-        else:
-            a_raw = 2.0 * s3 / den + 1.0
-        raw["a"] = a_raw
-        a_used = _clip_one(problem, "a", a_raw)
-        pole = a_used * (a_used - 1.0)
-        target = unknown[1]  # "f" or "b"
-        if abs(pole) < _DEGENERATE_TOL:
-            raw[target] = _scale_root(problem, target, 0.0, "a_near_pole", degenerate)
-        else:
-            rad = s3 * (1.0 + a_used) / (scale * scale * pole)
-            raw[target] = _scale_root(problem, target, rad, "radicand_nonpositive", degenerate)
-        # sigma2 from the clipped scale estimate, so the point stays coherent.
-        t_used = _clip_one(problem, target, raw[target])
-        fb2 = (t_used * t_used) * (scale * scale)
-        raw["sigma2"] = s1 / 2.0 - fb2 / (1.0 + a_used)
-    else:  # pragma: no cover - ParamProblem already rejects other sets
-        raise AssertionError(f"unreachable unknown set {unknown}")
+            settle("a", num / den + shift if shift else num / den)
+
+    for scale, other in (("f", "b"), ("b", "f")):
+        if scale not in unknown:
+            continue
+        a, k, reason = point["a"], point[other], "radicand_nonpositive"
+        if "sigma2" not in unknown:  # from S1
+            rad = (s1 - 2.0 * point["sigma2"]) * (1.0 + a) / (2.0 * k * k)
+        elif abs(a * (a - 1.0)) < _DEGENERATE_TOL:  # a has no units
+            rad, reason = 0.0, "a_near_pole"
+        else:  # from S3
+            rad = s3 * (1.0 + a) / (k * k * (a * (a - 1.0)))
+        if rad <= 0.0:
+            degenerate.append(f"{scale}:{reason}")
+        mag = math.sqrt(rad) if rad > 0.0 else 0.0
+        # f takes the sign of its bounds.
+        settle(scale, -mag if scale == "f" and problem.bounds["f"][0] <= 0.0 else mag)
+
+    if "sigma2" in unknown:  # from S1
+        f, b = point["f"], point["b"]
+        settle("sigma2", s1 / 2.0 - f * f * b * b / (1.0 + point["a"]))
     return raw, degenerate
-
-
-def _clip_one(problem: ParamProblem, name: str, value: float) -> float:
-    lo, hi = problem.bounds[name]
-    if not value >= lo:
-        return lo
-    if value > hi:
-        return hi
-    return value
 
 
 def mme(x_prefix, problem: ParamProblem) -> MmeEstimate:
     """Method-of-moments estimate on an observation prefix.
 
-    Clipping happens coordinate-wise in canonical order, with the later
-    inversion steps (f or b from a, sigma2 from both) already consuming the
-    clipped values of the earlier ones.
+    Each inversion step reads the clipped values of the earlier ones.
     """
     problem.require_complete()
     stats = s_statistics(x_prefix)

@@ -206,6 +206,18 @@ class TestEstimators:
         assert abs(lines[-1]["estimate"]["b"] - 1.0) < 0.3
         assert len(lines[-1]["s_statistics"]) == 3
 
+    def test_mme_other_units(self, capsys):
+        # x in units 1e-6 puts S1 - 2 sigma2 near 1e-12; the near-zero rule
+        # is relative to S1, so a comes out as at unit scale.
+        argv = ["mme", "--T", "2000", "--unknown", "a,f,sigma2"]
+        _, unit, _ = run_cli(capsys, argv + ["--bounds", "f=5e-2:5,sigma2=5e-2:5"])
+        code, lines, _ = run_cli(
+            capsys, argv + ["--f", "1e-6", "--sigma2", "1e-12", "--bounds", "f=5e-8:5e-6,sigma2=5e-14:5e-12"]
+        )
+        assert code == 0
+        assert lines[-1]["degenerate"] == []
+        assert lines[-1]["estimate"]["a"] == pytest.approx(unit[-1]["estimate"]["a"], rel=1e-9)
+
     def test_onestep(self, capsys, tmp_path):
         code, lines, _ = run_cli(
             capsys,

@@ -27,7 +27,7 @@ from hidden_ar import (
 from conftest import ALL_SETS, REF
 
 GRID_SETS = (("b",), ("f",), ("a",), ("sigma2",), ("f", "a"))
-SCALES = (1e-3, 4.0, 1e3)
+SCALES = (1e-7, 1e-3, 4.0, 1e3)
 # The power of c each coordinate takes under each change, and the power
 # the hidden track takes.
 CHANGES = {

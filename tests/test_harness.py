@@ -365,6 +365,9 @@ class TestDeterminism:
         for threads in (0, 2):
             with pytest.raises(ValueError, match="threads must be 1"):
                 run_monte_carlo(config, threads=threads)
+        for threads in (True, 1.5):
+            with pytest.raises(ValueError, match="threads must be a whole number"):
+                run_monte_carlo(config, threads=threads)
 
 
 class TestAggregation:

@@ -1,9 +1,11 @@
 """Difference statistics, their limits, and the moment inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hidden_ar import SeriesTooShort, mme, phi, simulate
+from hidden_ar import COORDINATES, ParamProblem, SeriesTooShort, mme, phi, simulate
 from hidden_ar.moments import MomentStats, _invert, s_statistics
 
 from conftest import ALL_SETS, REF, REF_VALUES, problem_for, random_params
@@ -73,6 +75,58 @@ class TestInversion:
         assert abs(raw["f"] - params.f) < 1e-10
 
 
+def unit_problem(unknown, c) -> ParamProblem:
+    """REF's problem in the units where x is c*x, as (f, sigma2) -> (c*f, c^2*sigma2)."""
+    params = REF.replace(f=c * REF.f, sigma2=c * c * REF.sigma2)
+    box = {"a": (-0.9, 0.9), "b": (0.1, 4.0), "f": (0.1 * c, 4.0 * c), "sigma2": (0.1 * c * c, 4.0 * c * c)}
+    return ParamProblem(
+        unknown=unknown,
+        bounds={name: box[name] for name in unknown},
+        known={name: getattr(params, name) for name in COORDINATES if name not in unknown},
+    )
+
+
+def near_singular(unknown, gap, s2, s3, c) -> MomentStats:
+    """Stats at REF's known values (x in units c) whose denominator of a is
+    gap*S1: S1 - 2 sigma2 for a alone and (f, a), S1 + 2 S2 for the triples."""
+    if "sigma2" in unknown:
+        s1, s2 = 2.0, -1.0 + gap
+    else:
+        s1 = 2.0 + 2.0 * gap
+    return MomentStats(s1=c * c * s1, s2=c * c * s2, s3=c * c * s3, t_used=1000)
+
+
+# (unknown, S2, S3, the limit of a at gap > 0 and at gap < 0): +inf for a
+# alone, since S1 - 2 sigma2 is positive under the model; the sign of
+# S1 + 2 S2 for (f, a); the sign of S3 (S1 + 2 S2) for the triples.
+LIMITS = [
+    (("a",), 0.1, 0.1, (math.inf, math.inf)),
+    (("f", "a"), 0.5, 0.1, (math.inf, math.inf)),
+    (("f", "a"), -1.5, 0.1, (-math.inf, -math.inf)),
+    *[(unknown, None, s3, (math.copysign(math.inf, s3), -math.copysign(math.inf, s3)))
+      for unknown in (("a", "f", "sigma2"), ("a", "b", "sigma2")) for s3 in (0.2, -0.2)],
+]
+
+
+@pytest.mark.parametrize("c", (1.0, 1e-7))
+@pytest.mark.parametrize("unknown, s2, s3, limits", LIMITS)
+class TestDegenerateLimits:
+    """The band |den| <= 1e-12 S1 moves with the units of x: the same stats
+    in units 1e-7 (S scaled by 1e-14) fall inside or outside it alike."""
+
+    def test_limit_inside_the_band(self, unknown, s2, s3, limits, c):
+        for gap, limit in zip((1e-13, -1e-13), limits):
+            raw, degenerate = _invert(near_singular(unknown, gap, s2, s3, c), unit_problem(unknown, c))
+            assert raw["a"] == limit, gap
+            assert "a:denominator_near_zero" in degenerate
+
+    def test_finite_outside_the_band(self, unknown, s2, s3, limits, c):
+        for gap in (1e-9, -1e-9):
+            raw, degenerate = _invert(near_singular(unknown, gap, s2, s3, c), unit_problem(unknown, c))
+            assert math.isfinite(raw["a"]), gap
+            assert "a:denominator_near_zero" not in degenerate
+
+
 class TestMme:
     def test_consistency_on_long_series(self, problem_b):
         x = simulate(REF, 200000, seed=32).x
@@ -109,6 +163,16 @@ class TestMme:
         est = mme(x, problem)
         assert "b:radicand_nonpositive" in est.degenerate
         assert est.values[0] == problem.bounds["b"][0]
+
+    @pytest.mark.parametrize("unknown", ALL_SETS)
+    def test_constant_series(self, unknown):
+        # S1 = S2 = S3 = 0: the band |den| <= 1e-12 S1 must still catch
+        # den = 0 for the triples.
+        problem = problem_for(REF, unknown)
+        est = mme(np.full(100, 3.0), problem)
+        clipped, _ = problem.clip(est.values)
+        np.testing.assert_array_equal(est.values, clipped)
+        assert ("a:denominator_near_zero" in est.degenerate) == ("sigma2" in unknown and "a" in unknown)
 
     def test_stats_carried(self, problem_b):
         x = simulate(REF, 5000, seed=34).x
