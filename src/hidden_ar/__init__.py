@@ -3,7 +3,7 @@ filtering for a partially observed AR(1) process, with a Monte Carlo
 harness that checks the estimators against their asymptotic-efficiency
 targets."""
 
-from .adaptive import AdaptiveTrace, adaptive_filter, error_report, s_star_limit
+from .adaptive import AdaptiveTrace, adaptive_filter, error_report
 from .errors import (
     ConditionA0Violated,
     DegeneratePosterior,
@@ -31,6 +31,7 @@ from .model_core import (
     StationaryQuantities,
     fisher_info,
     riccati_map,
+    s_star_limit,
     stationary,
     stationary_from,
     stationary_gradient,

@@ -23,11 +23,7 @@ solve_banded and BLAS dtbsv stay unused: their kernels may fuse the
 multiply-add into one rounding.
 
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
-S*^2 = tr(I^{-1} D), with D = E[dm dm^T] the stationary covariance of the
-derivative of m_t in the unknown coordinates at the true point (see
-s_star_limit). At a=0.5, b=f=sigma2=1 it is 2/9 for b, 0.0440 for f, 2.014
-for a, 0.2161 for sigma2, 3.092 for (f, a), 8.496 for (a, f, sigma2) and
-4.266 for (a, b, sigma2).
+S*^2 = tr(I^{-1} D), which s_star_limit gives (derivation in model_core).
 """
 
 from __future__ import annotations
@@ -38,16 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import as_real, as_series
+from .errors import as_real, as_series, as_whole
 from .kalman import filter_stationary
-from .model_core import (
-    ModelParams,
-    ParamProblem,
-    _information,
-    _track_moments,
-    stationary_from,
-    validate,
-)
+from .model_core import ModelParams, ParamProblem, s_star_limit, stationary_from, validate
 from .onestep import EstimatorTrace, learning_interval, one_step
 
 
@@ -81,7 +70,8 @@ class AdaptiveTrace:
         return self.tau + len(self.m_star)
 
     def m_star_at(self, t: int) -> float:
-        """m*_t for t in [tau+1, T]."""
+        """m*_t for a whole t in [tau+1, T]."""
+        t = as_whole("t", t)
         if not self.tau + 1 <= t <= self.horizon:
             raise ValueError(f"adaptive track covers [{self.tau + 1}, {self.horizon}], got t={t}")
         return float(self.m_star[t - self.tau - 1])
@@ -163,34 +153,6 @@ def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
             f"filter recursion not finite (m_n = {m[n - 1]}): a non-finite coefficient or an overflow"
         )
     return m[:n]
-
-
-def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
-    """The limit S*^2 = tr(I^{-1} D) of t * E(m*_t - m_t)^2 for an unknown set
-    in canonical order (else UnsupportedSet; FisherSingular where I is).
-
-    To first order m*_t - m_t = dm_t^T (theta_hat - theta_0); the factors
-    become independent and sqrt(t) (theta_hat - theta_0) -> N(0, I^{-1}), so
-    the limit is tr(I^{-1} D) with D = E[dm dm^T]. As m = M/f,
-    dm_i = (Mdot_i - [i = f] M/f)/f, and fisher_info's moments
-    C = E[Mdot Mdot^T], w_i = E[Mdot_i M] and mu = E[M^2] give
-
-        D = (C - phi w^T - w phi^T + mu phi phi^T) / f^2,   phi_i = [i = f]/f.
-    """
-    return _excess_and_information(params, unknown)[0]
-
-
-def _excess_and_information(params: ModelParams, unknown: tuple[str, ...]) -> tuple[float, np.ndarray]:
-    """(s_star_limit, fisher_info) at params, from one evaluation of the
-    track moments and of the information."""
-    moments = _track_moments(params, unknown)
-    information = _information(params, unknown, moments)
-    sq, _, beta, w, mu, cross = moments
-    phi = np.array([1.0 / params.f if coord == "f" else 0.0 for coord in unknown])
-    c = (np.outer(beta, beta) + cross) / (1.0 - sq.a_coef * sq.a_coef)
-    d = (c - np.outer(phi, w) - np.outer(w, phi) + mu * np.outer(phi, phi)) / (params.f * params.f)
-    # Rounding among subnormal entries of D (|a| < 1e-154) can go below 0.
-    return max(float(np.linalg.solve(information, d).trace()), 0.0), information
 
 
 def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:

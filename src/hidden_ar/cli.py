@@ -24,12 +24,12 @@ import sys
 
 import numpy as np
 
-from .adaptive import adaptive_filter, error_report, s_star_limit
+from .adaptive import adaptive_filter, error_report
 from .errors import HiddenArError, as_series
 from .harness import ExperimentConfig, export, run_monte_carlo, write_columns
 from .kalman import filter_derivative, filter_stationary
 from .likelihood import bayes, log_likelihood, mle
-from .model_core import ModelParams, ParamProblem, validate
+from .model_core import ModelParams, ParamProblem, s_star_limit, validate
 from .moments import mme
 from .onestep import one_step
 from .simulator import simulate

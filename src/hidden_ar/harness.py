@@ -33,10 +33,10 @@ from typing import Any, Callable
 import numpy as np
 from scipy import special, stats
 
-from .adaptive import _excess_and_information, adaptive_filter
+from .adaptive import adaptive_filter
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
 from .likelihood import MAX_DIM, _Surface, bayes, mle
-from .model_core import ModelParams, ParamProblem, fisher_info, stationary, validate
+from .model_core import ModelParams, ParamProblem, _excess_and_information, fisher_info, stationary, validate
 from .moments import mme
 from .onestep import learning_interval, one_step
 from .simulator import simulate
@@ -366,7 +366,8 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1) -> McReport:
     a deterministic function of the config.
 
     ``threads`` must be 1: a thread pool measured slower than this loop and
-    was removed; the keyword stays for callers that still pass it.
+    was removed; the keyword stays because the benchmark script
+    perfbench/run.py passes threads=1.
     """
     if as_whole("threads", threads) != 1:
         raise ValueError(f"run_monte_carlo runs serially; threads must be 1, got {threads}")

@@ -256,12 +256,18 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 def _prior_on_grid(prior, axis: np.ndarray) -> np.ndarray:
     pairs = np.asarray(prior, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("prior must be a sequence of (value, density) pairs")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size == 0:
+        raise ValueError("prior must be a nonempty sequence of (value, density) pairs")
     if not np.isfinite(pairs).all():
         raise ValueError(f"prior values and densities must be finite, got {pairs.tolist()}")
     order = np.argsort(pairs[:, 0])
-    dens = np.interp(axis, pairs[order, 0], pairs[order, 1])
+    values = pairs[order, 0]
+    # np.interp would hold the end densities flat outside the table.
+    if values[0] > axis[0]:
+        raise ValueError(f"prior table starts at {values[0]}, above the lower bound {axis[0]}")
+    if values[-1] < axis[-1]:
+        raise ValueError(f"prior table ends at {values[-1]}, below the upper bound {axis[-1]}")
+    dens = np.interp(axis, values, pairs[order, 1])
     if not np.all(dens > 0.0):
         raise ValueError("prior density must be positive on the whole box")
     return dens
@@ -274,7 +280,8 @@ def bayes(
     raise UnsupportedSet) on a product grid of grid_size nodes per dimension
     (a whole number, at least 64). prior is None for the uniform density on
     the box, or (value, density) pairs interpolated onto the grid (scalar
-    problems only, every value and density finite, densities positive).
+    problems only, every value and density finite, densities positive). The
+    table must span the bounds box, else ValueError names the bound it misses.
     ObservationsOverflow when the likelihood is not finite at a grid node.
 
     _surface, when given, is a likelihood surface of x and problem holding

@@ -28,8 +28,24 @@ formula,
 
 with Mdot_i the derivative of the prediction f*m_t in coordinate i and C
 its stationary second moments (derivation in fisher_info). _track_moments
-solves C, w_i = E[Mdot_i M] and mu = E[M^2]; fisher_info and
-adaptive.s_star_limit share it.
+solves C, w_i = E[Mdot_i M] and mu = E[M^2]; fisher_info and s_star_limit
+share it.
+
+s_star_limit is the limit of the adaptive filter's normalized excess risk
+t * E(m*_t - m_t(theta_0))^2 for every unknown set. To first order
+m*_t - m_t = dm_t^T (theta_hat - theta_0), with dm the derivative of m_t in
+the unknown coordinates at the true point; the factors become independent
+and sqrt(t) (theta_hat - theta_0) -> N(0, I^{-1}), so the limit is
+
+    S*^2 = tr(I^{-1} D),   D = E[dm dm^T].
+
+As m = M/f, dm_i = (Mdot_i - [i = f] M/f)/f, and the same moments give
+
+    D = (C - phi w^T - w phi^T + mu phi phi^T) / f^2,   phi_i = [i = f]/f.
+
+At a=0.5, b=f=sigma2=1, S*^2 is 2/9 for b, 0.0440 for f, 2.014 for a,
+0.2161 for sigma2, 3.092 for (f, a), 8.496 for (a, f, sigma2) and 4.266 for
+(a, b, sigma2).
 """
 
 from __future__ import annotations
@@ -498,3 +514,23 @@ def _information(params: ModelParams, unknown: tuple[str, ...], moments) -> np.n
     if not (trace > 0.0 and np.linalg.det(scaled) >= 1e-12 * scale):
         raise FisherSingular(f"information for {unknown} is singular or near-singular: {matrix.tolist()}")
     return matrix
+
+
+def s_star_limit(params: ModelParams, unknown: tuple[str, ...]) -> float:
+    """The limit S*^2 = tr(I^{-1} D) of t * E(m*_t - m_t)^2 for an unknown set
+    in canonical order (else UnsupportedSet; FisherSingular where I is);
+    derivation in the module docstring."""
+    return _excess_and_information(params, unknown)[0]
+
+
+def _excess_and_information(params: ModelParams, unknown: tuple[str, ...]) -> tuple[float, np.ndarray]:
+    """(s_star_limit, fisher_info) at params, from one evaluation of the
+    track moments and of the information."""
+    moments = _track_moments(params, unknown)
+    information = _information(params, unknown, moments)
+    sq, _, beta, w, mu, cross = moments
+    phi = np.array([1.0 / params.f if coord == "f" else 0.0 for coord in unknown])
+    c = (np.outer(beta, beta) + cross) / (1.0 - sq.a_coef * sq.a_coef)
+    d = (c - np.outer(phi, w) - np.outer(w, phi) + mu * np.outer(phi, phi)) / (params.f * params.f)
+    # Rounding among subnormal entries of D (|a| < 1e-154) can go below 0.
+    return max(float(np.linalg.solve(information, d).trace()), 0.0), information

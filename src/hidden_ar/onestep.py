@@ -9,26 +9,21 @@ correction applied as a process in the upper time index,
                    * sum_{s=tau+1..t} g_s(prelim),       t in [tau+2, T],
 
 with tau = floor(T^delta), delta in (1/2, 1), and g_s the score increment
-of the Gaussian innovation likelihood,
-
-    g_s = (x_s - f m_{s-1}) Mdot_{s-1} / P
-          + ((x_s - f m_{s-1})^2 - P) Pdot / (2 P^2),
-
-where Mdot = d(f m)/d psi, all tracks run once at the frozen preliminary
-point with m = dm = 0 at s = tau. The preliminary is computed from the
-whole series: a preliminary restricted to the short prefix [0, tau] is too
-noisy for the scoring step to be effectively linear at practical horizons
-(its error enters the corrected estimate quadratically). The full-series
-moment estimate shrinks that residual, but not equally for every
-coordinate. At a=0.5, b=f=sigma2=1, T=1e4 and R=300, t*Var/I^{-1} at t=T
-is 1.07 for b and for f, so the process attains the information bound
-there (acceptance criterion 07 checks b), and 1.03 for sigma2 (R=1000,
-seed 5). For a it is 1.87-2.20 (seeds 5 and 3) and 1.96 (seed 11), against
-1.00 for the MLE on the same series: the residual of the noisier
-preliminary for a is still visible, and the ratio nears 1 only at longer
-horizons (about 1.1 at T=1e5). The learning index tau only sets where the
-correction sum starts. Every emitted point is clipped into the closed
-bounds box.
+of the Gaussian innovation likelihood (formula in the kalman module), all
+tracks run once at the frozen preliminary point with m = dm = 0 at s = tau.
+The preliminary is computed from the whole series: a preliminary restricted
+to the short prefix [0, tau] is too noisy for the scoring step to be
+effectively linear at practical horizons (its error enters the corrected
+estimate quadratically). The full-series moment estimate shrinks that
+residual, but not equally for every coordinate. At a=0.5, b=f=sigma2=1,
+T=1e4 and R=300, t*Var/I^{-1} at t=T is 1.07 for b and for f, so the
+process attains the information bound there (acceptance criterion 07 checks
+b), and 1.03 for sigma2 (R=1000, seed 5). For a it is 1.87-2.20 (seeds 5
+and 3) and 1.96 (seed 11), against 1.00 for the MLE on the same series: the
+residual of the noisier preliminary for a is still visible, and the ratio
+nears 1 only at longer horizons (about 1.1 at T=1e5). The learning index
+tau only sets where the correction sum starts. Every emitted point is
+clipped into the closed bounds box.
 """
 
 from __future__ import annotations
@@ -39,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooShort, as_real, as_series, as_whole
-from .kalman import _derivative_track, _stationary_means
-from .model_core import ModelParams, ParamProblem, fisher_info, stationary, stationary_gradient
+from .kalman import _score_increments
+from .model_core import ParamProblem, fisher_info
 from .moments import MmeEstimate, mme
 
 
@@ -70,8 +65,9 @@ class EstimatorTrace:
         return int(self.t_grid[-1])
 
     def theta_at(self, t: int) -> np.ndarray:
-        """The estimate in force at time t: the preliminary for
+        """The estimate in force at a whole time t: the preliminary for
         t <= tau + 1, the path value afterwards."""
+        t = as_whole("t", t)
         if t < self.tau:
             raise ValueError(f"no estimate before the learning interval end {self.tau}, got t={t}")
         if t > self.horizon:
@@ -97,30 +93,6 @@ def learning_interval(horizon: int, delta: float) -> int:
     if tau > horizon - 2:
         raise HorizonTooShort(f"tau={tau} leaves no estimation window in T={horizon}")
     return tau
-
-
-def _score_increments(
-    params: ModelParams, x: np.ndarray, tau: int, coords: tuple[str, ...]
-) -> np.ndarray:
-    """Score increments g_s for s = tau+1 .. T, shape (T - tau, len(coords)).
-
-    The filter and its derivative tracks are started at m = dm = 0 at s = tau
-    and run on the tail observations only.
-    """
-    tail = x[tau:]
-    sq = stationary(params)
-    p = sq.p
-    m = _stationary_means(tail, 0.0, sq)
-    m_prev = m[:-1]
-    resid = tail[1:] - params.f * m_prev
-    out = np.empty((len(tail) - 1, len(coords)))
-    for j, coord in enumerate(coords):
-        grad = stationary_gradient(params, coord)
-        mdot = params.f * _derivative_track(tail, m, 0.0, sq, grad)[:-1]
-        if coord == "f":
-            mdot = mdot + m_prev
-        out[:, j] = resid * mdot / p + (resid * resid - p) * (grad.d_p / (2.0 * p * p))
-    return out
 
 
 def one_step(x, problem: ParamProblem, delta: float = 0.6, prelim=None) -> EstimatorTrace:

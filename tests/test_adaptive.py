@@ -193,6 +193,13 @@ class TestAdaptiveRun:
         with pytest.raises(ValueError):
             trace.m_star_at(1001)
 
+    def test_m_star_at_whole_float(self, problem_b):
+        x = simulate(REF, 2000, seed=86).x
+        trace = adaptive_filter(x, problem_b)
+        assert trace.m_star_at(1500.0) == trace.m_star_at(1500)
+        with pytest.raises(ValueError, match="whole number"):
+            trace.m_star_at(1500.5)
+
     def test_tracks_the_oracle(self, problem_b):
         # The adaptive mean must be far closer to the oracle filter than
         # the scale of the state itself.

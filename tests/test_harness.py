@@ -492,9 +492,8 @@ class TestAggregation:
 
             return counted
 
-        for module in (model_core_mod, adaptive_mod):
-            for name in ("_track_moments", "_information"):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in ("_track_moments", "_information"):
+            monkeypatch.setattr(model_core_mod, name, counting(name, getattr(model_core_mod, name)))
         targets = _targets(config)
         assert sorted(calls) == ["_information", "_track_moments"]
         monkeypatch.undo()

@@ -22,10 +22,12 @@ from hidden_ar import (
     one_step,
     simulate,
     stationary,
+    stationary_gradient,
 )
 from hidden_ar.cli import main
+from hidden_ar.kalman import _score_increments
 
-from conftest import REF, problem_for, random_params
+from conftest import ALL_SETS, REF, problem_for, random_params
 
 PROBLEM_B = problem_for(REF, ("b",))
 PROBLEM_FA = problem_for(REF, ("f", "a"))
@@ -211,6 +213,29 @@ class TestDerivativeFilter:
         for wrt in ("zz", "Sigma2", ""):
             with pytest.raises(UnsupportedCoordinate):
                 filter_derivative(REF, x, wrt)
+
+
+class TestScoreIncrements:
+    def test_columns_are_the_score_of_filter_derivative(self):
+        # Each column is g_s = r_s Mdot_{s-1} / P + (r_s^2 - P) Pdot / (2 P^2)
+        # on filter_derivative's tracks over x[tau:], bit for bit.
+        rng = np.random.default_rng(211)
+        for unknown in ALL_SETS:
+            params = random_params(rng)
+            x = simulate(params, 300, seed=int(rng.integers(1 << 30))).x
+            tau = 40
+            got = _score_increments(params, x, tau, unknown)
+            p = stationary(params).p
+            for j, coord in enumerate(unknown):
+                trace = filter_derivative(params, x[tau:], coord)
+                m_prev = trace.m[:-1]
+                resid = x[tau + 1 :] - params.f * m_prev
+                mdot = params.f * trace.dm[coord][:-1]
+                if coord == "f":
+                    mdot = mdot + m_prev
+                d_p = stationary_gradient(params, coord).d_p
+                want = resid * mdot / p + (resid * resid - p) * (d_p / (2.0 * p * p))
+                np.testing.assert_array_equal(got[:, j], want, err_msg=f"{unknown} {coord}")
 
 
 class TestFilterCsv:

@@ -232,6 +232,16 @@ class TestBayes:
         with pytest.raises(ValueError):
             bayes(x, problem_b, prior=((0.1, 0.0), (5.0, 1.0)))
 
+    def test_prior_must_span_the_box(self, problem_b):
+        # Outside its table np.interp would hold the end densities flat.
+        x = simulate(REF, 100, seed=71).x
+        with pytest.raises(ValueError, match="lower bound 0.1"):
+            bayes(x, problem_b, prior=((1.0, 1.0), (2.0, 1.0)))
+        with pytest.raises(ValueError, match="upper bound 5.0"):
+            bayes(x, problem_b, prior=((0.1, 1.0), (4.9, 1.0)))
+        with pytest.raises(ValueError, match="nonempty"):
+            bayes(x, problem_b, prior=np.empty((0, 2)))
+
     def test_non_finite_prior_rejected(self, problem_b):
         # A NaN or infinite abscissa used to run; an infinite density raised
         # DegeneratePosterior, a numerical failure, for an input mistake.

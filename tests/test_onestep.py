@@ -80,6 +80,15 @@ class TestOneStepScalar:
         with pytest.raises(ValueError):
             trace.theta_at(1001)
 
+    def test_theta_at_whole_float(self, problem_b):
+        # A whole float is a time; any other float raises ValueError, not
+        # numpy's IndexError.
+        x = simulate(REF, 2000, seed=42).x
+        trace = one_step(x, problem_b)
+        np.testing.assert_array_equal(trace.theta_at(1500.0), trace.theta_at(1500))
+        with pytest.raises(ValueError, match="whole number"):
+            trace.theta_at(1500.5)
+
     def test_preliminary_is_full_series_moment_estimate(self, problem_b):
         x = simulate(REF, 2000, seed=45).x
         trace = one_step(x, problem_b)
