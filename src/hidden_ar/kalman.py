@@ -5,7 +5,9 @@ Three forms, the last two from one pass over the observations:
 * transient: the exact Kalman recursions with a running error variance
   gamma_t updated by the Riccati map,
 
-      m_t = (a*sigma2*m_{t-1} + a*f*gamma_{t-1}*x_t) / (sigma2 + f^2*gamma_{t-1}),
+      m_t = A_t*m_{t-1} + e_t*x_t,   A_t = a*sigma2/P_t,
+      e_t = a*f*gamma_{t-1}/P_t,     P_t = sigma2 + f^2*gamma_{t-1},
+      gamma_t = a^2*sigma2*gamma_{t-1}/P_t + b^2,
 
 * stationary: gamma frozen at gamma_star, so m_t = A*m_{t-1} + e*x_t with
   constant coefficients A = a*sigma2/P and e = a*f*gamma_star/P,
@@ -25,14 +27,30 @@ where Mdot = d(f m)/d psi = f dm, plus m for psi = f, and Pdot = dP/d psi.
 
 Time indexing matches the observations: m[0] is the supplied initial value
 and m[t] is computed from x[t], so innovations exist for t >= 1 only.
+
+Two kernels run every recursion m_t = A_t*m_{t-1} + e_t*x_t. Constant
+coefficients (the stationary filter and its derivative tracks) go through
+scipy's lfilter. Per-step coefficients (the transient filter, and the
+adaptive filter's plug-in steps) go through _recursion, one LAPACK dgttrs
+solve of the unit lower bidiagonal system m_t - A_t m_{t-1} = e_t x_t,
+handed over already factored: L with subdiagonal -A_t, U = I, identity
+pivots. dgttrs then eliminates nothing; its forward pass computes
+e_t x_t - (-A_t) m_{t-1}, which rounds exactly as the recursion's multiply
+and add, and its back pass subtracts 0 * m and divides by 1, so the track
+equals the step-by-step loop bit for bit. solve_banded and BLAS dtbsv stay
+unused: their kernels may fuse the multiply-add into one rounding. The only
+per-step Python work left in the transient filter is the variance
+recursion gamma_t = riccati_map(gamma_{t-1}), which does not read x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.signal import lfilter
 
 from .errors import as_real, as_series
@@ -65,24 +83,49 @@ class FilterTrace:
 def filter_transient(
     params: ModelParams, x, m0: float = 0.0, gamma0: float = 0.0
 ) -> FilterTrace:
-    """Exact Kalman filter with running error variance from gamma0 >= 0."""
+    """Exact Kalman filter with running error variance from gamma0 >= 0;
+    ArithmeticError when the track is not finite."""
     x = as_series(x, 2)
     _require_finite(m0=m0, gamma0=gamma0)
     if gamma0 < 0.0:
         raise ValueError(f"need gamma0 >= 0, got {gamma0}")
     a, f, s2 = params.a, params.f, params.sigma2
     n = len(x)
-    m = np.empty(n)
-    gamma = np.empty(n)
-    zeta = np.empty(n - 1)
-    m[0] = m0
-    gamma[0] = gamma0
-    for t in range(1, n):
-        p = s2 + f * f * gamma[t - 1]
-        zeta[t - 1] = (x[t] - f * m[t - 1]) / math.sqrt(p)
-        m[t] = (a * s2 * m[t - 1] + a * f * gamma[t - 1] * x[t]) / p
-        gamma[t] = riccati_map(params, gamma[t - 1])
+    steps = itertools.accumulate(range(n - 1), lambda g, _: riccati_map(params, g), initial=gamma0)
+    gamma = np.fromiter(steps, float, n)
+    g_prev = gamma[:-1]
+    p = s2 + f * f * g_prev
+    a_coef = a * s2 / p
+    drive = a * f * g_prev / p * x[1:]
+    drive[0] += a_coef[0] * m0  # _recursion starts from 0; m_1 rounds as A_1*m0 + drive_1
+    m = np.concatenate(([m0], _recursion(a_coef, drive)))
+    zeta = (x[1:] - f * m[:-1]) / np.sqrt(p)
     return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None)
+
+
+def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit;
+    ArithmeticError when the track is not finite (a non-finite coefficient,
+    or overflow)."""
+    # L with subdiagonal -a_coef, U = I and identity pivots are the LU factors
+    # of m_t - a_coef_t m_{t-1} = drive_t, so dgttrs eliminates nothing and
+    # rounds as the recursion does (see the module docstring; not
+    # solve_banded or dtbsv, whose BLAS kernels may fuse the multiply-add).
+    # The wrapper needs n >= 3: two uncoupled zero rows pad every system.
+    n = len(drive)
+    lower = np.zeros(n + 1)
+    np.negative(a_coef[1:], out=lower[: n - 1])
+    rhs = np.zeros(n + 2)
+    rhs[:n] = drive
+    upper = np.zeros(n + 1)
+    pivots = np.arange(1, n + 3, dtype=np.int32)
+    m, _ = lapack.dgttrs(lower, np.ones(n + 2), upper, upper[:-1], pivots, rhs, overwrite_b=True)
+    # A non-finite entry carries forward to m_n, so m_n stands for the track.
+    if not math.isfinite(m[n - 1]):
+        raise ArithmeticError(
+            f"filter recursion not finite (m_n = {m[n - 1]}): a non-finite coefficient or an overflow"
+        )
+    return m[:n]
 
 
 def _require_finite(**starts: float) -> None:

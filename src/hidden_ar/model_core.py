@@ -346,11 +346,17 @@ def stationary(params: ModelParams) -> StationaryQuantities:
 
 
 def riccati_map(params: ModelParams, gamma: float) -> float:
-    """One step of the filtering error variance recursion:
-    gamma -> a^2*gamma + b^2 - a^2*f^2*gamma^2 / (sigma2 + f^2*gamma)."""
-    a2 = params.a * params.a
-    f2 = params.f * params.f
-    return a2 * gamma + params.b * params.b - a2 * f2 * gamma * gamma / (params.sigma2 + f2 * gamma)
+    """One step of the filtering error variance recursion in the form
+
+        gamma -> a^2*sigma2*gamma / (sigma2 + f^2*gamma) + b^2,
+
+    which neither subtracts nor squares gamma: it does not cancel for large
+    gamma, and it stays finite while a^2*sigma2*gamma does. The expanded
+    form a^2*gamma + b^2 - a^2*f^2*gamma^2/(sigma2 + f^2*gamma) loses every
+    digit of the limit a^2*sigma2/f^2 + b^2 from gamma near 1e16 and
+    overflows from gamma near 1e154."""
+    a, f, s2 = params.a, params.f, params.sigma2
+    return a * a * s2 * gamma / (s2 + f * f * gamma) + params.b * params.b
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +492,12 @@ def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     the remaining terms are exactly 0.0 for b and f, where the closed form
     stands alone.
 
-    Raises FisherSingular unless J = S*I*S, S = diag(|theta_i|) with 1 for
-    a, has trace(J) > 0 and det(J) >= 1e-12 for one coordinate, and
-    det(J)/trace(J)^dim >= 1e-12 for several (positive definite, condition
-    number below about 1e12 for a pair). Rescaling x -> c*x multiplies b, f
-    and sigma2 by powers of c and divides I by the same powers, so J and the
-    rule do not depend on the units of x.
+    Raises FisherSingular where P^2 overflows, and unless J = S*I*S,
+    S = diag(|theta_i|) with 1 for a, has trace(J) > 0 and det(J) >= 1e-12
+    for one coordinate, and det(J)/trace(J)^dim >= 1e-12 for several
+    (positive definite, condition number below about 1e12 for a pair).
+    Rescaling x -> c*x multiplies b, f and sigma2 by powers of c and divides
+    I by the same powers, so J and the rule do not depend on the units of x.
     """
     return _information(params, unknown, _track_moments(params, unknown))
 
@@ -501,6 +507,9 @@ def _information(params: ModelParams, unknown: tuple[str, ...], moments) -> np.n
     callers that also read the moments."""
     sq, d_p, _, _, _, cross = moments
     p2 = sq.p * sq.p
+    # P > |a|*sigma2, so a finite P^2 keeps (a*sigma2)^2 finite too.
+    if p2 == math.inf:
+        raise FisherSingular(f"information for {unknown} overflows: P^2 is not finite at P = {sq.p}")
     as4 = (params.a * params.sigma2) ** 2
     rest_scale = sq.p * (1.0 - sq.a_coef * sq.a_coef)
     n = range(len(unknown))

@@ -63,11 +63,11 @@ def problem_for(params: ModelParams, unknown, margin: float = 4.0) -> ParamProbl
     return ParamProblem(unknown=names, bounds=bounds, known=known)
 
 
-def recursion_loop(a_coef, drive) -> np.ndarray:
-    """m_t = a_coef_t m_{t-1} + drive_t from m_0 = 0, one Python step at a
-    time: the oracle for the adaptive filter's bidiagonal solve."""
+def recursion_loop(a_coef, drive, m0: float = 0.0) -> np.ndarray:
+    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m0, one Python step
+    at a time: the oracle for the filters' bidiagonal solve."""
     m = []
-    prev = 0.0
+    prev = m0
     for a, d in zip(a_coef.tolist(), drive.tolist()):
         prev = a * prev + d
         m.append(prev)

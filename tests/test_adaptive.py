@@ -8,6 +8,7 @@ import pytest
 from hidden_ar import (
     ExperimentConfig,
     FisherSingular,
+    ModelParams,
     ParamProblem,
     UnsupportedSet,
     adaptive_filter,
@@ -199,6 +200,16 @@ class TestAdaptiveRun:
         assert trace.m_star_at(1500.0) == trace.m_star_at(1500)
         with pytest.raises(ValueError, match="whole number"):
             trace.m_star_at(1500.5)
+
+    def test_overflowing_information_raises_typed(self):
+        # An admissible point whose P^2 overflows: the fit's information
+        # raises FisherSingular, not a bare OverflowError.
+        params = ModelParams(a=0.999, b=1.0, f=1.0, sigma2=1e155)
+        problem = problem_for(params, ("b",))
+        x = simulate(params, 2000, seed=84).x
+        for run in (lambda: one_step(x, problem), lambda: adaptive_filter(x, problem, truth=params)):
+            with pytest.raises(FisherSingular, match="overflows"):
+                run()
 
     def test_tracks_the_oracle(self, problem_b):
         # The adaptive mean must be far closer to the oracle filter than

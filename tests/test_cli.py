@@ -390,6 +390,14 @@ class TestAdaptive:
         assert code == 0
         assert lines[-1]["s_star_limit"] == s_star_limit(REF, ("f", "a"))
 
+    @pytest.mark.parametrize("command", ["onestep", "adaptive"])
+    def test_overflowing_information_exit_1(self, capsys, tmp_path, command):
+        # P^2 overflows at sigma2 = 1e155: a typed error, not "OverflowError".
+        argv = [command, "--T", "2000", "--a", "0.999", "--sigma2", "1e155", "--out", str(tmp_path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: information for ('b',) overflows")
+
 
 _SMALL_CONFIG = {
     "params": {"a": 0.5, "b": 1.0, "f": 1.0, "sigma2": 1.0},
@@ -582,6 +590,19 @@ class TestMonteCarlo:
         assert code == 0
         cells = [line for line in lines if "estimator" in line]
         assert len(cells) == 2 and all(line["ratio"] is None for line in cells)
+
+    def test_overflowing_information_exit_1(self, capsys, tmp_path):
+        # P^2 overflows at sigma2 = 1e155: the report is written with one
+        # FisherSingular row per replication, and the run exits 1.
+        argv = ["montecarlo", "--T", "2000", "--replications", "2", "--a", "0.999", "--sigma2", "1e155"]
+        code, _, err = run_cli(capsys, argv + ["--out", str(tmp_path)])
+        assert code == 1
+        assert "every replication failed" in err
+        with open(tmp_path / "report.json") as fh:
+            doc = json.load(fh)
+        assert doc["cells"] == []
+        messages = [row["message"] for row in doc["replications"]]
+        assert len(messages) == 2 and all(m.startswith("FisherSingular: ") for m in messages)
 
     def test_every_replication_failed_exit_1(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

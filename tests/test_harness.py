@@ -14,6 +14,7 @@ from scipy import stats
 from hidden_ar import (
     ExperimentConfig,
     HorizonTooShort,
+    ModelParams,
     ObservationsOverflow,
     ParamProblem,
     UnsupportedSet,
@@ -652,6 +653,20 @@ class TestFailureCapture:
             assert cell["failures"] == 2
             assert cell["n"] == 2
         json.loads(report.to_json())
+
+    def test_overflowing_information_fails_every_replication(self):
+        # P^2 overflows at sigma2 = 1e155: each replication's one-step fit
+        # fails with FisherSingular, and the targets are None, where _targets
+        # raised a bare OverflowError after the replications.
+        config = small_config(
+            params=ModelParams(a=0.999, b=1.0, f=1.0, sigma2=1e155), horizons=(2000,), replications=2
+        )
+        assert set(_targets(config).values()) == {None}
+        report = run_monte_carlo(config)
+        assert report.cells == []
+        messages = [r["message"] for r in report.replications]
+        assert len(messages) == 2
+        assert all(m.startswith("FisherSingular: ") and "overflows" in m for m in messages)
 
 
 class TestWriteColumns:

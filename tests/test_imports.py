@@ -6,11 +6,13 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hidden_ar"
 
 # Each private name imported by another module: the score increments that
-# onestep sums, the (S*^2, I) pair the harness's targets read from one
+# onestep sums, the per-step filter kernel the adaptive filter's plug-in
+# steps run on, the (S*^2, I) pair the harness's targets read from one
 # evaluation of the track moments, and the likelihood surface the harness
 # shares across the grid estimators of one prefix.
 CROSSING = {
     ("onestep", "kalman", "_score_increments"),
+    ("adaptive", "kalman", "_recursion"),
     ("harness", "model_core", "_excess_and_information"),
     ("harness", "likelihood", "_Surface"),
 }

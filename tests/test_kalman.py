@@ -20,6 +20,7 @@ from hidden_ar import (
     mle,
     mme,
     one_step,
+    riccati_map,
     simulate,
     stationary,
     stationary_gradient,
@@ -27,7 +28,7 @@ from hidden_ar import (
 from hidden_ar.cli import main
 from hidden_ar.kalman import _score_increments
 
-from conftest import ALL_SETS, REF, problem_for, random_params
+from conftest import ALL_SETS, REF, problem_for, random_params, recursion_loop
 
 PROBLEM_B = problem_for(REF, ("b",))
 PROBLEM_FA = problem_for(REF, ("f", "a"))
@@ -134,6 +135,54 @@ class TestTransient:
             np.testing.assert_allclose(trace.m, m, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(trace.gamma, gamma, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(trace.innovations, zeta, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma0", [1e8, 1e16, 1e150, 1e300])
+    def test_large_gamma0_against_reference(self, gamma0):
+        # The variance step a^2 sigma2 gamma / (sigma2 + f^2 gamma) + b^2
+        # neither cancels nor overflows; the expanded form a^2 gamma + b^2 -
+        # a^2 f^2 gamma^2 / P gave gamma_1 = 1.0 at REF from 1e16 and 0.0 from
+        # 1e150, where the truth is 1.25, and overflowed from about 1e154.
+        rng = np.random.default_rng(205)
+        for params in [REF] + [random_params(rng) for _ in range(5)]:
+            x = simulate(params, 300, seed=int(rng.integers(1 << 30))).x
+            trace = filter_transient(params, x, m0=0.3, gamma0=gamma0)
+            m, gamma, zeta = reference_transient(params, x, m0=0.3, gamma0=gamma0)
+            np.testing.assert_allclose(trace.m, m, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(trace.gamma, gamma, rtol=1e-12)
+            np.testing.assert_allclose(trace.innovations, zeta, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_shortest_series(self, length):
+        # One or two steps: the bidiagonal solve pads every system to three rows.
+        x = simulate(REF, 10, seed=27).x[:length]
+        trace = filter_transient(REF, x, m0=0.3, gamma0=2.0)
+        m, gamma, zeta = reference_transient(REF, x, m0=0.3, gamma0=2.0)
+        assert trace.m.shape == trace.gamma.shape == (length,)
+        assert trace.innovations.shape == (length - 1,)
+        np.testing.assert_allclose(trace.m, m, rtol=1e-15)
+        np.testing.assert_allclose(trace.gamma, gamma, rtol=1e-15)
+        np.testing.assert_allclose(trace.innovations, zeta, rtol=1e-15)
+
+    def test_mean_track_is_the_step_loop(self):
+        # m[1:] is the step-by-step recursion from m0 on the filter's own
+        # coefficients A_t = a sigma2 / P_t and drive_t = (a f gamma_{t-1} / P_t) x_t,
+        # bit for bit, and gamma is the Riccati map iterated from gamma0.
+        rng = np.random.default_rng(204)
+        for _ in range(10):
+            params = random_params(rng)
+            x = simulate(params, 500, seed=int(rng.integers(1 << 30))).x
+            m0, gamma0 = float(rng.normal()), float(10.0 ** rng.uniform(-3, 3))
+            trace = filter_transient(params, x, m0=m0, gamma0=gamma0)
+            gamma = [gamma0]
+            for _ in x[1:]:
+                gamma.append(riccati_map(params, gamma[-1]))
+            assert np.array_equal(trace.gamma, gamma)
+            g_prev = trace.gamma[:-1]
+            p = params.sigma2 + params.f * params.f * g_prev
+            a_coef = params.a * params.sigma2 / p
+            drive = params.a * params.f * g_prev / p * x[1:]
+            assert np.array_equal(trace.m[1:], recursion_loop(a_coef, drive, m0))
+            assert trace.m[0] == m0
 
     def test_gamma_converges_to_stationary(self):
         x = simulate(REF, 500, seed=4).x

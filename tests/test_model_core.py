@@ -18,6 +18,7 @@ from hidden_ar import (
     UnsupportedSet,
     fisher_info,
     riccati_map,
+    s_star_limit,
     stationary,
     stationary_from,
     stationary_gradient,
@@ -283,6 +284,12 @@ class TestStationary:
         columns = {name: np.array([getattr(params, name)]) for name in COORDINATES}
         assert stationary_from(**columns).gamma_star[0] == gamma
 
+    def test_riccati_map_for_large_gamma(self):
+        # a^2 sigma2 gamma / (sigma2 + f^2 gamma) + b^2 tends to a^2 sigma2 / f^2 + b^2
+        # = 1.25 at REF; the expanded form gave 1.0 at 1e16 and 0.0 at 1e150.
+        for gamma in (1e16, 1e150, 1e300):
+            assert riccati_map(REF, gamma) == 1.25
+
     def test_array_function_matches_scalar(self):
         rng = np.random.default_rng(103)
         points = [random_params(rng) for _ in range(200)]
@@ -464,6 +471,16 @@ class TestFisherInfo:
         rejected = ModelParams(a=0.043, b=0.121, f=0.242, sigma2=19.646)
         with pytest.raises(FisherSingular):
             fisher_info(rejected, ("a", "b", "sigma2"))
+
+    @pytest.mark.parametrize("unknown", ALL_SETS)
+    def test_overflowing_prediction_variance_is_singular(self, unknown):
+        # The point is admissible, but P^2 overflows; (a sigma2)^2 raised a
+        # bare OverflowError before the guard.
+        params = ModelParams(a=0.999, b=1.0, f=1.0, sigma2=1e155)
+        with pytest.raises(FisherSingular, match="overflows"):
+            fisher_info(params, unknown)
+        with pytest.raises(FisherSingular, match="overflows"):
+            s_star_limit(params, unknown)
 
     def test_positive_on_admissible_points(self):
         # The scalar informations stay strictly positive over the admissible

@@ -1,6 +1,7 @@
 """Property suite: on random admissible points and on extreme series, every
 estimator returns finite values (inside the bounds box for estimates) or
-raises a HiddenArError."""
+raises a HiddenArError; the transient filter may also raise the
+ArithmeticError of a track that overflows."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hidden_ar import (
     ModelParams,
     adaptive_filter,
     bayes,
+    filter_transient,
     mle,
     mme,
     one_step,
@@ -51,6 +53,16 @@ def series_st(draw, params):
 def case_st(draw, sets):
     params = draw(params_st)
     return params, problem_for(params, draw(st.sampled_from(sets))), draw(series_st(params))
+
+
+# The starting variance, 0 or log-uniform up to 1e300.
+gamma0_st = st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def transient_case_st(draw):
+    params = draw(params_st)
+    return params, draw(series_st(params)), draw(st.floats(-10.0, 10.0)), draw(gamma0_st)
 
 
 def _run(call):
@@ -103,6 +115,18 @@ def test_adaptive_filter(case):
         assert np.isfinite(trace.m_star).all()
         assert np.isfinite(trace.oracle_m).all()
         _assert_estimates(trace.theta_plug, problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=transient_case_st())
+def test_filter_transient(case):
+    params, x, m0, gamma0 = case
+    try:
+        trace = filter_transient(params, x, m0=m0, gamma0=gamma0)
+    except (HiddenArError, ArithmeticError):
+        return
+    for values in (trace.m, trace.gamma, trace.innovations):
+        assert np.isfinite(values).all()
 
 
 @settings(max_examples=300, deadline=None)
