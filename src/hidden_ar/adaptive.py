@@ -16,6 +16,15 @@ runs all three steps and returns the one-step path it fitted.
 The recursion runs on kalman's per-step kernel _recursion, one bidiagonal
 solve that equals the step-by-step loop bit for bit (see the kalman module).
 
+The filter forgets its start geometrically: the plug-in values lie in the
+bounds box, so |A(theta_hat_{s-1})| = |a_s| sigma2_s / P_s < |a_s| <= a_max,
+the box's largest |a| (or the known |a|). Run from m = 0 at step t - J
+instead of from m*_tau, the recursion gives m*_t up to at most
+a_max^J max|drive| / (1 - a_max), drive_s = e(theta_hat_{s-1}) x_s; with
+J = model_core._memory(a_max) that is at most eps/4 * max|drive|. The Monte
+Carlo harness reads m*_t from such windows (_plug_in); adaptive_filter runs
+the whole track.
+
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
 S*^2 = tr(I^{-1} D), which s_star_limit gives (derivation in model_core).
 """
@@ -95,18 +104,11 @@ def adaptive_filter(
     if frozen_at is not None:
         validate(frozen_at, problem)
         tau = learning_interval(horizon, delta)
-        theta_plug = np.tile(problem.values_of(frozen_at), (horizon - tau, 1))
-        track = None
+        track, plug = None, problem.values_of(frozen_at)
     else:
-        track = one_step(x, problem, delta)
+        track = plug = one_step(x, problem, delta)
         tau = track.tau
-        # Step t consumes theta_hat_{t-1}: the preliminary for t-1 <= tau+1,
-        # the path value afterwards.
-        theta_plug = np.vstack([track.prelim, track.prelim, track.path[: horizon - tau - 2]])
-
-    sq = stationary_from(**problem.coordinates(theta_plug.T))
-
-    m_star = _recursion(sq.a_coef, sq.gain * x[tau + 1 :])
+    theta_plug, m_star = _plug_in(x, problem, plug, tau + 1, horizon)
 
     oracle_m = None
     if truth is not None:
@@ -121,6 +123,24 @@ def adaptive_filter(
         theta_plug=theta_plug,
         problem=problem,
     )
+
+
+def _plug_in(x: np.ndarray, problem: ParamProblem, plug, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plug-in steps s = start..stop from m*_{start-1} = 0, with
+    tau + 1 <= start <= stop <= T: (theta_plug, m_star), row s - start of
+    each for step s. ``plug`` is the fitted one-step process, whose step s
+    consumes theta_hat_{s-1} (the preliminary for s - 1 <= tau + 1, the path
+    value afterwards), or the values of a frozen point. Over [tau+1, T] this
+    is the whole adaptive track; over a later window, the track to within
+    the memory bound of the module docstring."""
+    if isinstance(plug, EstimatorTrace):
+        tau = plug.tau
+        prelim_rows = np.tile(plug.prelim, (max(0, min(stop, tau + 2) - start + 1), 1))
+        theta_plug = np.vstack([prelim_rows, plug.path[max(0, start - tau - 3) : max(0, stop - tau - 2)]])
+    else:
+        theta_plug = np.tile(plug, (stop - start + 1, 1))
+    sq = stationary_from(**problem.coordinates(theta_plug.T))
+    return theta_plug, _recursion(sq.a_coef, sq.gain * x[start : stop + 1])
 
 
 def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:

@@ -86,11 +86,21 @@ def _problem_doc(args) -> dict:
     unknown = [name.strip() for name in args.unknown.split(",") if name.strip()]
     bounds = {name: _DEFAULT_BOUNDS[name] for name in unknown if name in _DEFAULT_BOUNDS}
     if args.bounds:
-        for item in args.bounds.split(","):
-            name, _, span = item.partition("=")
-            lo, _, hi = span.partition(":")
-            bounds[name.strip()] = (float(lo), float(hi))
+        bounds.update(_bounds_item(item) for item in args.bounds.split(","))
     return {"unknown": unknown, "bounds": bounds}
+
+
+def _bounds_item(item: str) -> tuple[str, tuple[float, float]]:
+    """One --bounds item name=lo:hi as (name, (lo, hi)); ValueError naming
+    the item when it has another form."""
+    name, _, span = item.partition("=")
+    lo, _, hi = span.partition(":")
+    try:
+        if name.strip():
+            return name.strip(), (float(lo), float(hi))
+    except ValueError:
+        pass
+    raise ValueError(f"--bounds item {item!r} is not of the form name=lo:hi")
 
 
 def _inputs(args) -> tuple[ModelParams, ParamProblem | None, np.ndarray]:

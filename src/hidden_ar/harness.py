@@ -10,11 +10,23 @@ from counter-based streams keyed (seed, stream) with
 stream = horizon_index * R + rep, so any replication can be reproduced in
 isolation, and the report is bit-identical across runs.
 
+A replication fits the one-step process once, for onestep and adaptive
+alike. At each checkpoint t the adaptive rows read m*_t and the oracle
+m_t(theta_0) from runs started at 0 over the filter's memory only: the
+plug-in steps max(tau+1, t-J+1)..t and the stationary filter at the truth
+over x[max(0, t-J) .. t], with J = model_core._memory(a_max), a_max the
+box's largest |a| or the known |a| (the truth lies in the box). What the
+cut leaves out is at most a_max^J max|drive| / (1 - a_max) <= 2^-54
+max|drive| (see the adaptive module), so the rows agree with
+adaptive_filter's whole tracks to rounding, and bit for bit where both
+windows reach back to the start (J >= t).
+
 The report is JSON-ready as it is built. A non-finite row value (an
 estimate, or an adaptive filter error) fails its replication, which becomes
 an error row with the message. A replication runs its estimators checkpoint
 by checkpoint, so it records the first error in (checkpoint, estimator)
-order.
+order; an adaptive track that is not finite fails at the first checkpoint
+whose window meets it.
 A statistic that is undefined is None where it is computed: a cell's var
 for n < 2, its ratio without a risk or a positive target, and its KS test
 without a positive target, for n < 2 or on a "y" cell.
@@ -33,10 +45,20 @@ from typing import Any, Callable
 import numpy as np
 from scipy import special, stats
 
-from .adaptive import adaptive_filter
+from .adaptive import _plug_in
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
+from .kalman import filter_stationary
 from .likelihood import MAX_DIM, _Surface, bayes, mle
-from .model_core import ModelParams, ParamProblem, _excess_and_information, fisher_info, stationary, validate
+from .model_core import (
+    ModelParams,
+    ParamProblem,
+    _excess_and_information,
+    _largest_a,
+    _memory,
+    fisher_info,
+    stationary,
+    validate,
+)
 from .moments import mme
 from .onestep import learning_interval, one_step
 from .simulator import simulate
@@ -186,12 +208,17 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     row can be regenerated in isolation from its stream id. Indices that
     are not whole numbers or lie outside the config raise ValueError.
 
-    The whole-series fit (adaptive_filter, or one_step) runs first. Then
-    each checkpoint prefix x[: t + 1] runs the selected estimators in config
-    order; mle and bayes read one likelihood surface of that prefix, built
-    when the first of them runs. Rows come back estimator by estimator.
-    Each estimator gives the value, or raises the error, it gives alone; a
-    replication raises the first error in (checkpoint, estimator) order.
+    The whole-series one-step fit runs first, when onestep or adaptive is
+    selected. Then each checkpoint prefix x[: t + 1] runs the selected
+    estimators in config order; mle and bayes read one likelihood surface
+    of that prefix, built when the first of them runs, and adaptive runs
+    its plug-in steps and the oracle filter over the last J steps before t
+    only (the module docstring gives J and the bound on what is cut). Rows
+    come back estimator by estimator. Each estimator gives the value, or
+    raises the error, it gives alone, up to that bound for adaptive; a
+    replication raises the first error in (checkpoint, estimator) order, so
+    an adaptive ArithmeticError (a track that is not finite) surfaces at
+    the first checkpoint whose window meets it, not before the loop.
     """
     horizon_index, rep = as_whole("horizon_index", horizon_index), as_whole("rep", rep)
     if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
@@ -199,8 +226,8 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     horizon = config.horizons[horizon_index]
     stream = horizon_index * config.replications + rep
     problem = config.problem
-    keep_hidden = "adaptive" in config.estimators
-    traj = simulate(config.params, horizon, config.seed, keep_hidden=keep_hidden, stream=stream)
+    adaptive = "adaptive" in config.estimators
+    traj = simulate(config.params, horizon, config.seed, keep_hidden=adaptive, stream=stream)
     x = traj.x
     times = _checkpoint_times(horizon, config.checkpoints)
     rows: dict[str, list[dict[str, Any]]] = {name: [] for name in config.estimators}
@@ -223,11 +250,11 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         )
 
     track = None
-    if "adaptive" in config.estimators:
-        atrace = adaptive_filter(x, problem, config.delta, truth=config.params)
-        track = atrace.theta_track
-    elif "onestep" in config.estimators:
+    if "onestep" in config.estimators or adaptive:
         track = one_step(x, problem, config.delta)
+    if adaptive:
+        # The box bounds every plug-in |a|, and validate put the truth in it.
+        memory = _memory(_largest_a(problem))
     grid_names = [name for name in config.estimators if name in ("mle", "bayes")]
 
     for v, t in times:
@@ -235,8 +262,11 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         surface = None  # the last prefix's, released before this one's is built
         for name in config.estimators:
             if name == "adaptive":
-                m_star = atrace.m_star_at(t)
-                emit("adaptive", "m", v, t, m_star - float(atrace.oracle_m[t]))
+                # m*_t and m_t(theta_0) from their last J steps only.
+                _, m_window = _plug_in(x, problem, track, max(track.tau + 1, t - memory + 1), t)
+                m_star = float(m_window[-1])
+                oracle = filter_stationary(config.params, x[max(0, t - memory) : t + 1]).m[-1]
+                emit("adaptive", "m", v, t, m_star - float(oracle))
                 emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
                 continue
             # mme, mle and bayes are looked up at call time, so rebinding

@@ -41,6 +41,9 @@ equals the step-by-step loop bit for bit. solve_banded and BLAS dtbsv stay
 unused: their kernels may fuse the multiply-add into one rounding. The only
 per-step Python work left in the transient filter is the variance
 recursion gamma_t = riccati_map(gamma_{t-1}), which does not read x.
+Where gamma_{t-1} passes model_core._large_variance, sigma2*gamma or
+f^2*gamma may overflow, so the transient filter divides A_t, e_t and P_t
+through by gamma_{t-1} there, as riccati_map does.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from scipy.signal import lfilter
 from .errors import as_real, as_series
 from .model_core import (
     ModelParams,
-    riccati_map,
+    _large_variance,
+    _variance_step,
     stationary,
     stationary_gradient,
 )
@@ -91,15 +95,20 @@ def filter_transient(
         raise ValueError(f"need gamma0 >= 0, got {gamma0}")
     a, f, s2 = params.a, params.f, params.sigma2
     n = len(x)
-    steps = itertools.accumulate(range(n - 1), lambda g, _: riccati_map(params, g), initial=gamma0)
+    step = _variance_step(params)
+    steps = itertools.accumulate(range(n - 1), lambda g, _: step(g), initial=gamma0)
     gamma = np.fromiter(steps, float, n)
-    g_prev = gamma[:-1]
-    p = s2 + f * f * g_prev
-    a_coef = a * s2 / p
+    # Above _large_variance each fraction is divided through by gamma_{t-1}
+    # (scale), so P_t = scale * p is never formed; at scale 1 the forms are
+    # those of the module docstring, bit for bit.
+    scale = np.where(gamma[:-1] > _large_variance(params), gamma[:-1], 1.0)
+    g_prev = gamma[:-1] / scale
+    p = s2 / scale + f * f * g_prev
+    a_coef = a * (s2 / scale) / p
     drive = a * f * g_prev / p * x[1:]
     drive[0] += a_coef[0] * m0  # _recursion starts from 0; m_1 rounds as A_1*m0 + drive_1
     m = np.concatenate(([m0], _recursion(a_coef, drive)))
-    zeta = (x[1:] - f * m[:-1]) / np.sqrt(p)
+    zeta = (x[1:] - f * m[:-1]) / (np.sqrt(p) * np.sqrt(scale))
     return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None)
 
 

@@ -18,10 +18,12 @@ sum of squares
 The sums over lags are cut at J. Since A = a sigma2 / P with P > sigma2,
 |A| < |a|, and |R_j| <= S0 by Cauchy-Schwarz; taking the smallest J with
 a_max^J / (1 - a_max) <= eps/4, a_max the largest |a| the evaluation can
-meet, leaves out only rounding-size terms. J never exceeds T, and at J = T
-nothing is cut. S0, R_1..R_J and the last J observations are computed once
-per series in O(T J); after that each parameter node costs O(J) (Horner's
-rule in A), so grid scans and refinement steps never revisit the series.
+meet, leaves out only rounding-size terms. That J is the filter memory
+model_core._memory, the rule that also cuts the Monte Carlo harness's
+adaptive windows. J never exceeds T, and at J = T nothing is cut. S0,
+R_1..R_J and the last J observations are computed once per series in
+O(T J); after that each parameter node costs O(J) (Horner's rule in A), so
+grid scans and refinement steps never revisit the series.
 
 The MLE maximizes L over the closed bounds box by a coarse grid scan (256
 nodes per dimension) followed by coordinate-wise bounded Brent searches
@@ -61,10 +63,9 @@ from .errors import (
     as_series,
     as_whole,
 )
-from .model_core import ModelParams, ParamProblem, stationary_from
+from .model_core import ModelParams, ParamProblem, _largest_a, _memory, stationary_from
 
 _FLAT_TOL = 1e-9
-_TAIL_TOL = 2.0**-54  # eps/4 for float64
 # The most unknowns mle and bayes take: their grids hold size^dim nodes.
 MAX_DIM = 2
 # Nodes per dimension of the product grid each grid estimator reads: mle's
@@ -94,10 +95,7 @@ def _lag_statistics(x, a_max: float) -> _LagStatistics:
     ObservationsOverflow when S0 or a lagged product is not finite."""
     z = as_series(x, 2)[1:]
     horizon = len(z)
-    lags = 1
-    if a_max > 0.0:
-        lags = math.ceil(math.log(_TAIL_TOL * (1.0 - a_max)) / math.log(a_max))
-    lags = max(1, min(lags, horizon))
+    lags = min(_memory(a_max), horizon)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
         s0 = float(z @ z)
         lagged = [float(z[j:] @ z[:-j]) for j in range(1, lags + 1)]
@@ -164,13 +162,9 @@ class _Surface:
     def __init__(self, x, problem: ParamProblem, sizes):
         if problem.dim > MAX_DIM:
             raise UnsupportedSet(f"the likelihood grid takes at most {MAX_DIM} unknowns, got {problem.unknown}")
-        if "a" in problem.bounds:
-            a_max = max(abs(v) for v in problem.bounds["a"])
-        else:
-            a_max = abs(problem.known["a"])
         self._x = x
         self._problem = problem
-        self._stats = _lag_statistics(x, a_max)
+        self._stats = _lag_statistics(x, _largest_a(problem))
         grids = {size: _grid(problem, size) for size in sizes}
         columns = [np.concatenate([nodes[k].ravel() for _, nodes in grids.values()]) for k in range(problem.dim)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported by grid()

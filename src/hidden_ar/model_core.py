@@ -351,12 +351,64 @@ def riccati_map(params: ModelParams, gamma: float) -> float:
         gamma -> a^2*sigma2*gamma / (sigma2 + f^2*gamma) + b^2,
 
     which neither subtracts nor squares gamma: it does not cancel for large
-    gamma, and it stays finite while a^2*sigma2*gamma does. The expanded
-    form a^2*gamma + b^2 - a^2*f^2*gamma^2/(sigma2 + f^2*gamma) loses every
-    digit of the limit a^2*sigma2/f^2 + b^2 from gamma near 1e16 and
-    overflows from gamma near 1e154."""
-    a, f, s2 = params.a, params.f, params.sigma2
-    return a * a * s2 * gamma / (s2 + f * f * gamma) + params.b * params.b
+    gamma. The expanded form a^2*gamma + b^2 - a^2*f^2*gamma^2/(sigma2 +
+    f^2*gamma) loses every digit of the limit a^2*sigma2/f^2 + b^2 from gamma
+    near 1e16 and overflows from gamma near 1e154. Above _large_variance the
+    fraction is divided through by gamma, a^2*sigma2 / (sigma2/gamma + f^2),
+    so sigma2*gamma and f^2*gamma, which may overflow there, are never
+    formed; below it the form above is evaluated as written."""
+    return _variance_step(params)(gamma)
+
+
+def _variance_step(params: ModelParams):
+    """riccati_map at one point as a function of gamma alone, with the
+    point's products and _large_variance worked out once: the transient
+    filter iterates it."""
+    a2s2, f2, s2, b2 = params.a * params.a * params.sigma2, params.f * params.f, params.sigma2, params.b * params.b
+    limit = _large_variance(params)
+
+    def step(gamma: float) -> float:
+        if gamma > limit:
+            return a2s2 / (s2 / gamma + f2) + b2
+        return a2s2 * gamma / (s2 + f2 * gamma) + b2
+
+    return step
+
+
+def _large_variance(params: ModelParams) -> float:
+    """The variance above which sigma2*gamma or f^2*gamma may pass 2^1000.
+
+    Below it every product in the Kalman step forms stays finite, and
+    riccati_map and kalman.filter_transient evaluate them as written, so
+    gamma = 0 divides by nothing; above it they divide each fraction
+    through by gamma, which is then positive."""
+    return 2.0**1000 / max(params.f * params.f, params.sigma2, 1.0)
+
+
+# eps/4 for float64: the relative size of what a tail cut may leave out.
+_TAIL_TOL = 2.0**-54
+
+
+def _largest_a(problem: ParamProblem) -> float:
+    """The largest |a| a complete problem's filters can meet: over its
+    bounds box, or its known |a|."""
+    if "a" in problem.bounds:
+        return max(map(abs, problem.bounds["a"]))
+    return abs(problem.known["a"])
+
+
+def _memory(a_max: float) -> int:
+    """The filter memory J for coefficients |A_s| <= a_max < 1: the fewest
+    steps, at least 1, with a_max^J / (1 - a_max) <= eps/4.
+
+    A recursion m_t = A_t m_{t-1} + drive_t started from 0 at step t - J
+    leaves out prod A_s * m_{t-J}, at most a_max^J max|drive| / (1 - a_max)
+    <= eps/4 * max|drive|. The likelihood's lag sums and the Monte Carlo
+    harness's adaptive windows are cut at this J. It may exceed a series'
+    length; callers cap it there, where nothing is cut."""
+    if a_max <= 0.0:
+        return 1
+    return max(1, math.ceil(math.log(_TAIL_TOL * (1.0 - a_max)) / math.log(a_max)))
 
 
 # ---------------------------------------------------------------------------

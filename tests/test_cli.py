@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-import hidden_ar.adaptive as adaptive_mod
+import hidden_ar.harness as harness_mod
 from hidden_ar import s_star_limit, simulate
 from hidden_ar.cli import build_parser, main
 
@@ -104,6 +104,13 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {coordinate}: ")
         assert lines == [] and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("item", ["a=0.5", "a", "a=:0.9", "a=-0.9:", "=-0.9:0.9", "a=low:0.9"])
+    def test_malformed_bounds_exit_2(self, capsys, item):
+        # float('') used to escape as "could not convert string to float: ''".
+        code, lines, err = run_cli(capsys, ["mme", "--T", "200", "--unknown", "a", "--bounds", item])
+        assert code == 2 and lines == []
+        assert err == f"error: --bounds item {item!r} is not of the form name=lo:hi\n"
 
     def test_negative_seed_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["simulate", "--seed", "-1", "--out", str(tmp_path)])
@@ -608,7 +615,7 @@ class TestMonteCarlo:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(adaptive_mod, "one_step", broken)
+        monkeypatch.setattr(harness_mod, "one_step", broken)
         code, _, err = run_cli(
             capsys,
             ["montecarlo", "--T", "300", "--replications", "2", "--out", str(tmp_path)],

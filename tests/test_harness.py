@@ -1,7 +1,9 @@
 """Monte Carlo harness: determinism, aggregation, failure capture, export."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import types
@@ -18,9 +20,12 @@ from hidden_ar import (
     ObservationsOverflow,
     ParamProblem,
     UnsupportedSet,
+    adaptive_filter,
     bayes,
     export,
+    filter_stationary,
     fisher_info,
+    learning_interval,
     mle,
     run_monte_carlo,
     run_replication,
@@ -28,13 +33,13 @@ from hidden_ar import (
     simulate,
     stationary,
 )
-import hidden_ar.adaptive as adaptive_mod
 import hidden_ar.harness as harness_mod
 import hidden_ar.likelihood as likelihood_mod
 import hidden_ar.model_core as model_core_mod
 from hidden_ar.harness import _ks_pvalues, _ks_statistic, _targets, write_columns
+from hidden_ar.model_core import _largest_a, _memory
 
-from conftest import REF
+from conftest import ALL_SETS, REF, problem_for
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -356,6 +361,73 @@ class TestReplication:
         assert [ref() for ref in built] == [None, None]
 
 
+def _adaptive_config(problem: ParamProblem, horizon: int) -> ExperimentConfig:
+    return small_config(problem=problem, horizons=(horizon,), replications=1, estimators=("adaptive",))
+
+
+def _whole_track_rows(config: ExperimentConfig) -> tuple[list[float], list[float]]:
+    """The adaptive m and y row values of replication 0 from adaptive_filter's
+    whole tracks."""
+    horizon = config.horizons[0]
+    traj = simulate(config.params, horizon, config.seed, keep_hidden=True, stream=0)
+    trace = adaptive_filter(traj.x, config.problem, config.delta, truth=config.params)
+    times = [math.floor(v * horizon) for v in config.checkpoints]
+    m_rows = [trace.m_star_at(t) - float(trace.oracle_m[t]) for t in times]
+    y_rows = [trace.m_star_at(t) - float(traj.y[t]) for t in times]
+    return m_rows, y_rows
+
+
+def _adaptive_rows(config: ExperimentConfig) -> tuple[list[float], list[float]]:
+    """The harness's adaptive m and y row values of replication 0."""
+    rows = run_replication(config, 0, 0)
+    return tuple([r["value"] for r in rows if r["coord"] == coord] for coord in ("m", "y"))
+
+
+class TestAdaptiveWindow:
+    """run_replication reads m*_t and the oracle m_t(theta_0) from runs over
+    the last J = _memory(a_max) steps before each checkpoint."""
+
+    @pytest.mark.parametrize("unknown", ALL_SETS, ids=",".join)
+    def test_rows_match_the_whole_track(self, unknown):
+        # a's box is narrowed to +-0.6 (J = 76) so that at T = 2000 both
+        # windows start well after tau + 1 and after step 1.
+        problem = problem_for(REF, unknown)
+        if "a" in unknown:
+            problem = ParamProblem(unknown=unknown, bounds=dict(problem.bounds, a=(-0.6, 0.6)))
+        config = _adaptive_config(problem, 2000)
+        memory = _memory(_largest_a(config.problem))
+        assert learning_interval(2000, config.delta) + 1 < 1000 - memory + 1
+        m_rows, y_rows = _adaptive_rows(config)
+        want_m, want_y = _whole_track_rows(config)
+        np.testing.assert_allclose(m_rows, want_m, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(y_rows, want_y, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("unknown", [s for s in ALL_SETS if "a" in s], ids=",".join)
+    def test_window_reaching_the_learning_interval_is_the_whole_track(self, unknown):
+        # J = 44316 at a box of +-0.999: at T = 2000 the adaptive window
+        # starts at tau + 1 and the oracle's at step 1, and both rows equal
+        # the whole tracks' bit for bit.
+        problem = ParamProblem(unknown=unknown, bounds=dict(problem_for(REF, unknown).bounds, a=(-0.999, 0.999)))
+        config = _adaptive_config(problem, 2000)
+        assert _memory(0.999) > 2000
+        assert _adaptive_rows(config) == _whole_track_rows(config)
+
+    @pytest.mark.parametrize("a", [0.5, -0.9, 0.999])
+    def test_oracle_window(self, a):
+        # filter_stationary over x[t - J : t + 1] from m = 0 is the whole
+        # filter's m_t to 1e-13, and bit for bit once t <= J.
+        params = REF.replace(a=a)
+        x = simulate(params, 2000, seed=5).x
+        whole = filter_stationary(params, x).m
+        memory = _memory(abs(a))
+        for t in (3, 60, 400, 1000, 2000):
+            window = filter_stationary(params, x[max(0, t - memory) : t + 1]).m[-1]
+            if t <= memory:
+                assert window == whole[t]
+            else:
+                assert abs(window - whole[t]) <= 1e-13
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         config = small_config()
@@ -570,7 +642,7 @@ class TestKsNormal:
         # horizon's cells hold n = 4 and the other's n = 5: every KS entry
         # of the report still equals kstest on the cell's own sample.
         config = small_config(horizons=(400, 600), replications=5)
-        real = adaptive_mod.one_step
+        real = harness_mod.one_step
 
         def broken(x, problem, delta=0.6, prelim=None):
             broken.calls += 1
@@ -579,7 +651,7 @@ class TestKsNormal:
             return real(x, problem, delta, prelim)
 
         broken.calls = 0
-        monkeypatch.setattr(adaptive_mod, "one_step", broken)
+        monkeypatch.setattr(harness_mod, "one_step", broken)
         report = run_monte_carlo(config)
         targets = _targets(config)
         tested = [cell for cell in report.cells if cell["ks_stat"] is not None]
@@ -604,7 +676,7 @@ class TestKsNormal:
 class TestFailureCapture:
     def test_error_rows_recorded(self, monkeypatch):
         config = small_config(replications=6)
-        real = adaptive_mod.one_step
+        real = harness_mod.one_step
         target = run_replication(config, 0, 4)[0]["stream"]
 
         def broken(x, problem, delta=0.6, prelim=None):
@@ -615,7 +687,7 @@ class TestFailureCapture:
             return real(x, problem, delta, prelim)
 
         broken.calls = 0
-        monkeypatch.setattr(adaptive_mod, "one_step", broken)
+        monkeypatch.setattr(harness_mod, "one_step", broken)
         report = run_monte_carlo(config)
         errors = [r for r in report.replications if r["estimator"] == "error"]
         assert len(errors) == 1
@@ -653,6 +725,38 @@ class TestFailureCapture:
             assert cell["failures"] == 2
             assert cell["n"] == 2
         json.loads(report.to_json())
+
+    @pytest.mark.parametrize(
+        "estimators, mme_fails_at, message",
+        [
+            pytest.param(("mme", "adaptive"), 200, "mme failed", id="mme-at-first-checkpoint"),
+            pytest.param(("adaptive", "mme"), 400, "filter recursion not finite", id="adaptive-first-at-T"),
+            pytest.param(("mme", "adaptive"), 400, "mme failed", id="mme-first-at-T"),
+        ],
+    )
+    def test_adaptive_error_surfaces_at_its_checkpoint(self, monkeypatch, estimators, mme_fails_at, message):
+        # A NaN in theta_hat_{T-1} poisons only step T, so the adaptive
+        # window fails at t = T = 400 and not at t = 200. The replication
+        # raises the first error in (checkpoint, estimator) order; the whole
+        # track is no longer run before the checkpoint loop.
+        config = small_config(replications=1, estimators=estimators)
+        real_one_step, real_mme = harness_mod.one_step, harness_mod.mme
+
+        def poisoned(x, problem, delta=0.6, prelim=None):
+            track = real_one_step(x, problem, delta, prelim)
+            path = track.path.copy()
+            path[-2] = np.nan  # row j is theta*_{tau+2+j}: this one is t = T - 1
+            return dataclasses.replace(track, path=path)
+
+        def mme(x, problem):
+            if len(x) - 1 == mme_fails_at:
+                raise ValueError("mme failed")
+            return real_mme(x, problem)
+
+        monkeypatch.setattr(harness_mod, "one_step", poisoned)
+        monkeypatch.setattr(harness_mod, "mme", mme)
+        with pytest.raises((ValueError, ArithmeticError), match=message):
+            run_replication(config, 0, 0)
 
     def test_overflowing_information_fails_every_replication(self):
         # P^2 overflows at sigma2 = 1e155: each replication's one-step fit

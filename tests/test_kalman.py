@@ -3,11 +3,13 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hidden_ar import (
     COORDINATES,
+    ModelParams,
     NonFiniteObservations,
     SeriesTooShort,
     UnsupportedCoordinate,
@@ -150,6 +152,34 @@ class TestTransient:
             np.testing.assert_allclose(trace.m, m, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(trace.gamma, gamma, rtol=1e-12)
             np.testing.assert_allclose(trace.innovations, zeta, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "params, gamma0",
+        [
+            # f^2 gamma_0 overflows: P_1 read inf, so A_1 and the gain read 0
+            # and m_1 came out 0 where it is about -0.226.
+            pytest.param(ModelParams(a=0.5, b=1.0, f=1e10, sigma2=1.0), 1e290, id="f2-gamma-overflows"),
+            # sigma2 gamma_0 overflows: gamma_1 read inf and the filter raised
+            # ArithmeticError.
+            pytest.param(ModelParams(a=0.999, b=1.0, f=1.0, sigma2=1e154), 1e300, id="sigma2-gamma-overflows"),
+        ],
+    )
+    def test_overflowing_products_against_mpmath(self, params, gamma0):
+        # The textbook recursion in 60-digit arithmetic, where nothing
+        # overflows; every warning is an error here.
+        x = simulate(params, 5, seed=1).x
+        trace = filter_transient(params, x, m0=0.3, gamma0=gamma0)
+        with mpmath.workdps(60):
+            a, b, f, s2 = (mpmath.mpf(getattr(params, name)) for name in ("a", "b", "f", "sigma2"))
+            m, gamma, zeta = [mpmath.mpf(0.3)], [mpmath.mpf(gamma0)], []
+            for x_t in map(mpmath.mpf, x[1:].tolist()):
+                p = s2 + f * f * gamma[-1]
+                zeta.append((x_t - f * m[-1]) / mpmath.sqrt(p))
+                m.append(a * (s2 * m[-1] + f * gamma[-1] * x_t) / p)
+                gamma.append(a * a * s2 * gamma[-1] / p + b * b)
+        for got, want in ((trace.m, m), (trace.gamma, gamma), (trace.innovations, zeta)):
+            np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("length", [2, 3])
     def test_shortest_series(self, length):

@@ -23,7 +23,8 @@ from hidden_ar import (
     stationary,
 )
 import hidden_ar.likelihood as likelihood_mod
-from hidden_ar.likelihood import _Surface
+from hidden_ar.likelihood import _lag_statistics, _Surface
+from hidden_ar.model_core import _memory
 from hidden_ar.onestep import _score_increments
 
 from conftest import REF, problem_for
@@ -51,6 +52,13 @@ class TestLogLikelihood:
             got = log_likelihood(x, cand)
             want = reference_loglik(x, cand)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a_max, lags", [(0.0, 1), (1e-3, 6), (0.5, 56), (0.9, 378), (0.99, 500), (0.999, 500)])
+    def test_lag_count_is_the_filter_memory(self, a_max, lags):
+        # The lag sums are cut at the filter memory J that also cuts the
+        # Monte Carlo harness's adaptive windows, capped at T = 500.
+        stats = _lag_statistics(simulate(REF, 500, seed=7).x, a_max)
+        assert len(stats.lagged) == len(stats.recent) == lags == min(_memory(a_max), 500)
 
     def test_maximized_near_truth(self):
         x = simulate(REF, 50000, seed=61).x

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -289,6 +290,26 @@ class TestStationary:
         # = 1.25 at REF; the expanded form gave 1.0 at 1e16 and 0.0 at 1e150.
         for gamma in (1e16, 1e150, 1e300):
             assert riccati_map(REF, gamma) == 1.25
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "params, gamma",
+        [
+            # a^2 sigma2 gamma overflows: the map returned inf.
+            pytest.param(REF.replace(a=0.999, sigma2=1e154), 1e300, id="sigma2-gamma-overflows"),
+            # sigma2 + f^2 gamma overflows: the fraction read 0.
+            pytest.param(REF.replace(f=1e10), 1e290, id="f2-gamma-overflows"),
+            pytest.param(REF.replace(f=1e10), 0.0, id="gamma-0"),
+            pytest.param(REF, 1e300, id="REF"),
+        ],
+    )
+    def test_riccati_map_against_mpmath(self, params, gamma):
+        # Above _large_variance the map is divided through by gamma; it
+        # neither overflows nor warns, and at gamma = 0 it is b^2.
+        with mpmath.workdps(60):
+            a, b, f, s2, g = map(mpmath.mpf, (params.a, params.b, params.f, params.sigma2, gamma))
+            want = float(a * a * s2 * g / (s2 + f * f * g) + b * b)
+        assert riccati_map(params, gamma) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_array_function_matches_scalar(self):
         rng = np.random.default_rng(103)

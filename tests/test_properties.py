@@ -14,6 +14,7 @@ from hidden_ar import (
     ModelParams,
     adaptive_filter,
     bayes,
+    filter_stationary,
     filter_transient,
     mle,
     mme,
@@ -21,6 +22,8 @@ from hidden_ar import (
     s_star_limit,
     simulate,
 )
+from hidden_ar.adaptive import _plug_in
+from hidden_ar.model_core import _largest_a, stationary, stationary_from
 
 from conftest import ALL_SETS, plugged_recursion, problem_for
 
@@ -115,6 +118,45 @@ def test_adaptive_filter(case):
         assert np.isfinite(trace.m_star).all()
         assert np.isfinite(trace.oracle_m).all()
         _assert_estimates(trace.theta_plug, problem)
+
+
+def _window_tolerance(alpha: float, memory: int, drive: np.ndarray) -> float:
+    """What a recursion with |A_s| <= alpha started from 0 at step t - memory
+    may leave out of m_t, alpha^J max|drive| / (1 - alpha), plus the rounding
+    of both runs."""
+    scale = float(np.abs(drive).max()) / (1.0 - alpha)
+    return alpha**memory * scale + 8.0 * np.finfo(float).eps * scale / (1.0 - alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=case_st(ALL_SETS), where=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0))
+def test_adaptive_window(case, where, cut):
+    # The harness's windows, at any checkpoint t and any memory J: the
+    # plug-in run over [max(tau + 1, t - J + 1), t] and the oracle over
+    # x[t - J .. t] give the whole tracks' m*_t and m_t(theta_0) within the
+    # memory bound, and bit for bit where they reach back to the start.
+    params, problem, x = case
+    trace = _run(lambda: adaptive_filter(x, problem, truth=params))
+    if trace is None:
+        return
+    tau, horizon = trace.tau, trace.horizon
+    t = tau + 1 + round(where * (horizon - tau - 1))
+    memory = 1 + round(cut * (horizon - 1))
+    start = max(tau + 1, t - memory + 1)
+    theta_plug, m_window = _plug_in(x, problem, trace.theta_track, start, t)
+    assert np.array_equal(theta_plug, trace.theta_plug[start - tau - 1 : t - tau])
+    sq = stationary_from(**problem.coordinates(trace.theta_plug[: t - tau].T))
+    tol = _window_tolerance(_largest_a(problem), memory, sq.gain * x[tau + 1 : t + 1])
+    if start == tau + 1:
+        assert m_window[-1] == trace.m_star_at(t)
+    else:
+        assert abs(m_window[-1] - trace.m_star_at(t)) <= tol
+    oracle = filter_stationary(params, x[max(0, t - memory) : t + 1]).m[-1]
+    tol = _window_tolerance(abs(params.a), memory, stationary(params).gain * x[1 : t + 1])
+    if t <= memory:
+        assert oracle == trace.oracle_m[t]
+    else:
+        assert abs(oracle - trace.oracle_m[t]) <= tol
 
 
 @settings(max_examples=100, deadline=None)
