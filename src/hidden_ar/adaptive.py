@@ -22,8 +22,10 @@ the box's largest |a| (or the known |a|). Run from m = 0 at step t - J
 instead of from m*_tau, the recursion gives m*_t up to at most
 a_max^J max|drive| / (1 - a_max), drive_s = e(theta_hat_{s-1}) x_s; with
 J = model_core._memory(a_max) that is at most eps/4 * max|drive|. The Monte
-Carlo harness reads m*_t from such windows (_plug_in); adaptive_filter runs
-the whole track.
+Carlo harness reads m*_t from such windows, and the oracle m_t(theta_0) from
+windows of the plug-in recursion frozen at the truth, all from one solve
+(_window_ends); adaptive_filter runs the whole track (_plug_in). Both read
+only the one-step rows a window consumes.
 
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
 S*^2 = tr(I^{-1} D), which s_star_limit gives (derivation in model_core).
@@ -31,15 +33,15 @@ S*^2 = tr(I^{-1} D), which s_star_limit gives (derivation in model_core).
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import as_real, as_series, as_whole
-from .kalman import _recursion, filter_stationary
+from .kalman import _recursion, _solve, filter_stationary
 from .model_core import ModelParams, ParamProblem, s_star_limit, stationary_from, validate
-from .onestep import EstimatorTrace, learning_interval, one_step
+from .onestep import EstimatorTrace, _guarded_floor, learning_interval, one_step
 
 
 @dataclass(frozen=True)
@@ -125,27 +127,68 @@ def adaptive_filter(
     )
 
 
+def _plug_rows(plug, start: int, stop: int) -> np.ndarray:
+    """theta_hat_{s-1} for the plug-in steps s = start..stop, row s - start
+    for step s, tau + 1 <= start <= stop <= T. ``plug`` is the fitted
+    one-step process, whose step s consumes the preliminary for
+    s - 1 <= tau + 1 and the path row theta*_{s-1,T} afterwards, or the
+    values of a frozen point."""
+    if not isinstance(plug, EstimatorTrace):
+        return np.tile(plug, (stop - start + 1, 1))
+    tau = plug.tau
+    if start > tau + 2:
+        return plug.rows(start - 1, stop - 1)[0]
+    prelim_rows = np.tile(plug.prelim, (min(stop, tau + 2) - start + 1, 1))
+    if stop <= tau + 2:
+        return prelim_rows
+    return np.vstack([prelim_rows, plug.rows(tau + 2, stop - 1)[0]])
+
+
 def _plug_in(x: np.ndarray, problem: ParamProblem, plug, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The plug-in steps s = start..stop from m*_{start-1} = 0, with
-    tau + 1 <= start <= stop <= T: (theta_plug, m_star), row s - start of
-    each for step s. ``plug`` is the fitted one-step process, whose step s
-    consumes theta_hat_{s-1} (the preliminary for s - 1 <= tau + 1, the path
-    value afterwards), or the values of a frozen point. Over [tau+1, T] this
-    is the whole adaptive track; over a later window, the track to within
-    the memory bound of the module docstring."""
-    if isinstance(plug, EstimatorTrace):
-        tau = plug.tau
-        prelim_rows = np.tile(plug.prelim, (max(0, min(stop, tau + 2) - start + 1), 1))
-        theta_plug = np.vstack([prelim_rows, plug.path[max(0, start - tau - 3) : max(0, stop - tau - 2)]])
-    else:
-        theta_plug = np.tile(plug, (stop - start + 1, 1))
+    """The plug-in steps s = start..stop from m*_{start-1} = 0 (plug and the
+    step range as in _plug_rows): (theta_plug, m_star), row s - start of each
+    for step s. Over [tau+1, T] this is the whole adaptive track; over a
+    later window, the track to within the memory bound of the module
+    docstring."""
+    theta_plug = _plug_rows(plug, start, stop)
     sq = stationary_from(**problem.coordinates(theta_plug.T))
     return theta_plug, _recursion(sq.a_coef, sq.gain * x[start : stop + 1])
 
 
+def _window_ends(x: np.ndarray, problem: ParamProblem, windows) -> list[float]:
+    """m at the last step of each window (plug, start, stop), as _plug_in's
+    m_star[-1] bit for bit, from one solve; a window that ends non-finite
+    is returned, not raised.
+
+    The windows are joined end to end with the coefficient A set to 0 at
+    each window's first step, where the solve's m = drive - (-0) m_prev
+    rounds to the drive, so each starts from 0. A non-finite value spreads
+    NaN into every window through 0 * inf (in the solve's forward and back
+    passes), so then each window is solved alone."""
+    theta = np.vstack([_plug_rows(plug, start, stop) for plug, start, stop in windows])
+    sq = stationary_from(**problem.coordinates(theta.T))
+    drive = sq.gain * np.concatenate([x[start : stop + 1] for _, start, stop in windows])
+    bounds = [0, *itertools.accumulate(stop - start + 1 for _, start, stop in windows)]
+    a_coef = sq.a_coef
+    a_coef[bounds[:-1]] = 0.0
+    m = _solve(a_coef, drive)
+    ends = m[[i - 1 for i in bounds[1:]]]
+    if not np.isfinite(ends).all():
+        ends = np.array([_solve(a_coef[i:j], drive[i:j])[-1] for i, j in itertools.pairwise(bounds)])
+    return ends.tolist()
+
+
+def _checkpoint_time(v: float, horizon: int) -> int:
+    """The time t = floor(v*T) of checkpoint v, guarded as learning_interval
+    is against a product just below a whole number (0.57 * 10000 gives
+    5700, not 5699)."""
+    return _guarded_floor(v * horizon)
+
+
 def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
-    """Normalized errors at t = floor(v*T) for each checkpoint v, against
-    the truth the trace was run with (ValueError for a trace run without).
+    """Normalized errors at t = floor(v*T) (_checkpoint_time) for each
+    checkpoint v, against the truth the trace was run with (ValueError for
+    a trace run without).
 
     filter_error    : t * (m*_t - m_t(theta_0))^2
     estimator_error : t * |theta_hat_t - theta_0|^2 (None for frozen runs)
@@ -161,7 +204,7 @@ def error_report(trace: AdaptiveTrace, checkpoints) -> list[dict[str, float]]:
         v = as_real("checkpoints", v)
         if not 0.0 < v <= 1.0:
             raise ValueError(f"checkpoints must lie in (0, 1], got {v}")
-        t = math.floor(v * horizon)
+        t = _checkpoint_time(v, horizon)
         if t < trace.tau + 1:
             raise ValueError(
                 f"checkpoint v={v} gives t={t} inside the learning interval (tau={trace.tau})"

@@ -117,7 +117,13 @@ def _inputs(args) -> tuple[ModelParams, ParamProblem | None, np.ndarray]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "x" not in reader.fieldnames:
             raise ValueError(f"{args.data} has no x column")
-        return params, problem, as_series([float(row["x"]) for row in reader], 2)
+        values = []
+        for row in reader:
+            try:
+                values.append(float(row["x"]))
+            except (TypeError, ValueError):  # TypeError: a row without an x cell
+                raise ValueError(f"{args.data} line {reader.line_num}: x value {row['x']!r} is not a number") from None
+        return params, problem, as_series(values, 2)
 
 
 def _named(problem: ParamProblem, values) -> dict[str, float]:
@@ -193,10 +199,11 @@ def _cmd_mme(args) -> int:
 def _cmd_onestep(args) -> int:
     _, problem, x = _inputs(args)
     trace = one_step(x, problem, args.delta)
+    rows, clipped = trace.rows(trace.tau + 2, trace.horizon)  # formed once for all three reads
     columns = {
         "t": trace.t_grid.tolist(),
-        **{f"theta_{j + 1}": col for j, col in enumerate(trace.path.T.tolist())},
-        "clipped": trace.clipped.astype(int).tolist(),
+        **{f"theta_{j + 1}": col for j, col in enumerate(rows.T.tolist())},
+        "clipped": clipped.astype(int).tolist(),
     }
     path = _write(args.out, "estimator.csv", columns)
     _print(
@@ -204,7 +211,7 @@ def _cmd_onestep(args) -> int:
             "written": path,
             "tau": trace.tau,
             "prelim": _named(problem, trace.prelim),
-            "final": _named(problem, trace.path[-1]),
+            "final": _named(problem, rows[-1]),
         }
     )
     return 0

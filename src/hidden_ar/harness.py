@@ -11,22 +11,26 @@ stream = horizon_index * R + rep, so any replication can be reproduced in
 isolation, and the report is bit-identical across runs.
 
 A replication fits the one-step process once, for onestep and adaptive
-alike. At each checkpoint t the adaptive rows read m*_t and the oracle
-m_t(theta_0) from runs started at 0 over the filter's memory only: the
-plug-in steps max(tau+1, t-J+1)..t and the stationary filter at the truth
-over x[max(0, t-J) .. t], with J = model_core._memory(a_max), a_max the
-box's largest |a| or the known |a| (the truth lies in the box). What the
-cut leaves out is at most a_max^J max|drive| / (1 - a_max) <= 2^-54
-max|drive| (see the adaptive module), so the rows agree with
-adaptive_filter's whole tracks to rounding, and bit for bit where both
-windows reach back to the start (J >= t).
+alike; its rows are formed only where a checkpoint reads them. The adaptive
+rows read m*_t and the oracle m_t(theta_0) from runs started at 0 over the
+filter's memory only: the plug-in steps max(tau+1, t-J+1)..t and the
+stationary filter at the truth over x[max(0, t-J) .. t], with
+J = model_core._memory(a_max), a_max the box's largest |a| or the known |a|
+(the truth lies in the box). What the cut leaves out is at most
+a_max^J max|drive| / (1 - a_max) <= 2^-54 max|drive| (see the adaptive
+module), so the rows agree with adaptive_filter's whole tracks to rounding,
+and bit for bit where both windows reach back to the start (J >= t). The
+oracle window is the plug-in recursion frozen at the truth, which equals
+filter_stationary bit for bit, so one solve (adaptive._window_ends) runs the
+windows of every checkpoint, joined end to end, before the checkpoint loop.
 
 The report is JSON-ready as it is built. A non-finite row value (an
 estimate, or an adaptive filter error) fails its replication, which becomes
 an error row with the message. A replication runs its estimators checkpoint
 by checkpoint, so it records the first error in (checkpoint, estimator)
-order; an adaptive track that is not finite fails at the first checkpoint
-whose window meets it.
+order. The window solve raises nothing: an adaptive plug-in window that
+ends non-finite raises kalman's "filter recursion not finite"
+ArithmeticError at its own checkpoint, in its place in that order.
 A statistic that is undefined is None where it is computed: a cell's var
 for n < 2, its ratio without a risk or a positive target, and its KS test
 without a positive target, for n < 2 or on a "y" cell.
@@ -45,9 +49,9 @@ from typing import Any, Callable
 import numpy as np
 from scipy import special, stats
 
-from .adaptive import _plug_in
+from .adaptive import _checkpoint_time, _window_ends
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
-from .kalman import filter_stationary
+from .kalman import _finite_end
 from .likelihood import MAX_DIM, _Surface, bayes, mle
 from .model_core import (
     ModelParams,
@@ -196,11 +200,12 @@ class McReport:
         return {"config": self.config, "cells": self.cells, "replications": self.replications}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+        """The document without indentation, so json's C encoder writes it."""
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def _checkpoint_times(horizon: int, checkpoints) -> list[tuple[float, int]]:
-    return [(v, math.floor(v * horizon)) for v in checkpoints]
+    return [(v, _checkpoint_time(v, horizon)) for v in checkpoints]
 
 
 def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> list[dict[str, Any]]:
@@ -209,16 +214,17 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     are not whole numbers or lie outside the config raise ValueError.
 
     The whole-series one-step fit runs first, when onestep or adaptive is
-    selected. Then each checkpoint prefix x[: t + 1] runs the selected
-    estimators in config order; mle and bayes read one likelihood surface
-    of that prefix, built when the first of them runs, and adaptive runs
-    its plug-in steps and the oracle filter over the last J steps before t
-    only (the module docstring gives J and the bound on what is cut). Rows
-    come back estimator by estimator. Each estimator gives the value, or
-    raises the error, it gives alone, up to that bound for adaptive; a
-    replication raises the first error in (checkpoint, estimator) order, so
-    an adaptive ArithmeticError (a track that is not finite) surfaces at
-    the first checkpoint whose window meets it, not before the loop.
+    selected; with adaptive, one solve then runs the plug-in and oracle
+    windows of the last J steps before every checkpoint (the module
+    docstring gives J and the bound on what is cut). Then each checkpoint
+    prefix x[: t + 1] runs the selected estimators in config order: onestep
+    forms its one row at t, mle and bayes read one likelihood surface of
+    that prefix, built when the first of them runs, and adaptive reads its
+    windows' ends. Rows come back estimator by estimator. Each estimator
+    gives the value, or raises the error, it gives alone, up to that bound
+    for adaptive; a replication raises the first error in (checkpoint,
+    estimator) order, so an adaptive ArithmeticError (a window that does
+    not end finite) surfaces at its own checkpoint, not at the solve.
     """
     horizon_index, rep = as_whole("horizon_index", horizon_index), as_whole("rep", rep)
     if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
@@ -253,20 +259,24 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     if "onestep" in config.estimators or adaptive:
         track = one_step(x, problem, config.delta)
     if adaptive:
-        # The box bounds every plug-in |a|, and validate put the truth in it.
+        # m*_t and m_t(theta_0) of every checkpoint from one solve over their
+        # last J steps: the box bounds every plug-in |a|, and validate put
+        # the truth in it. The oracle is the frozen plug-in at the truth.
         memory = _memory(_largest_a(problem))
+        truth = problem.values_of(config.params)
+        windows = []
+        for _, t in times:
+            windows += [(track, max(track.tau + 1, t - memory + 1), t), (truth, max(1, t - memory + 1), t)]
+        ends = _window_ends(x, problem, windows)
     grid_names = [name for name in config.estimators if name in ("mle", "bayes")]
 
-    for v, t in times:
+    for k, (v, t) in enumerate(times):
         prefix = x[: t + 1]
         surface = None  # the last prefix's, released before this one's is built
         for name in config.estimators:
             if name == "adaptive":
-                # m*_t and m_t(theta_0) from their last J steps only.
-                _, m_window = _plug_in(x, problem, track, max(track.tau + 1, t - memory + 1), t)
-                m_star = float(m_window[-1])
-                oracle = filter_stationary(config.params, x[max(0, t - memory) : t + 1]).m[-1]
-                emit("adaptive", "m", v, t, m_star - float(oracle))
+                m_star, oracle = _finite_end(ends[2 * k]), ends[2 * k + 1]
+                emit("adaptive", "m", v, t, m_star - oracle)
                 emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
                 continue
             # mme, mle and bayes are looked up at call time, so rebinding
@@ -443,7 +453,7 @@ def write_columns(path: str, columns: dict[str, list]) -> None:
 
 def export(report: McReport, out_dir: str) -> dict[str, str]:
     """Write report.csv (aggregate cells, fixed schema) and report.json
-    (full document); returns the written paths."""
+    (full document, compact: McReport.to_json); returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "csv": os.path.join(out_dir, "report.csv"),

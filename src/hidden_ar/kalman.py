@@ -38,7 +38,9 @@ pivots. dgttrs then eliminates nothing; its forward pass computes
 e_t x_t - (-A_t) m_{t-1}, which rounds exactly as the recursion's multiply
 and add, and its back pass subtracts 0 * m and divides by 1, so the track
 equals the step-by-step loop bit for bit. solve_banded and BLAS dtbsv stay
-unused: their kernels may fuse the multiply-add into one rounding. The only
+unused: their kernels may fuse the multiply-add into one rounding. _solve is
+that solve without _recursion's finiteness check, for callers that join
+several recursions into one system and check each end themselves. The only
 per-step Python work left in the transient filter is the variance
 recursion gamma_t = riccati_map(gamma_{t-1}), which does not read x.
 Where gamma_{t-1} passes model_core._large_variance, sigma2*gamma or
@@ -116,6 +118,14 @@ def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit;
     ArithmeticError when the track is not finite (a non-finite coefficient,
     or overflow)."""
+    m = _solve(a_coef, drive)
+    # A non-finite entry carries forward to m_n, so m_n stands for the track.
+    _finite_end(m[-1])
+    return m
+
+
+def _solve(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """_recursion's track without its finiteness check (a_coef_1 is unused)."""
     # L with subdiagonal -a_coef, U = I and identity pivots are the LU factors
     # of m_t - a_coef_t m_{t-1} = drive_t, so dgttrs eliminates nothing and
     # rounds as the recursion does (see the module docstring; not
@@ -129,12 +139,18 @@ def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
     upper = np.zeros(n + 1)
     pivots = np.arange(1, n + 3, dtype=np.int32)
     m, _ = lapack.dgttrs(lower, np.ones(n + 2), upper, upper[:-1], pivots, rhs, overwrite_b=True)
-    # A non-finite entry carries forward to m_n, so m_n stands for the track.
-    if not math.isfinite(m[n - 1]):
-        raise ArithmeticError(
-            f"filter recursion not finite (m_n = {m[n - 1]}): a non-finite coefficient or an overflow"
-        )
     return m[:n]
+
+
+def _finite_end(m_n: float) -> float:
+    """m_n, the last value of a recursion's track, as a float; the
+    ArithmeticError of _recursion when it is not finite."""
+    m_n = float(m_n)
+    if not math.isfinite(m_n):
+        raise ArithmeticError(
+            f"filter recursion not finite (m_n = {m_n}): a non-finite coefficient or an overflow"
+        )
+    return m_n
 
 
 def _require_finite(**starts: float) -> None:

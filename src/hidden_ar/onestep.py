@@ -24,6 +24,11 @@ residual of the noisier preliminary for a is still visible, and the ratio
 nears 1 only at longer horizons (about 1.1 at T=1e5). The learning index
 tau only sets where the correction sum starts. Every emitted point is
 clipped into the closed bounds box.
+
+one_step stores the cumulative score sums and I(prelim)^{-1}; a row of the
+process is formed (matmul, divide, add and clip) only when it is read,
+through EstimatorTrace.rows, and equals the row of the whole path formed at
+once bit for bit.
 """
 
 from __future__ import annotations
@@ -41,28 +46,57 @@ from .moments import MmeEstimate, mme
 
 @dataclass(frozen=True)
 class EstimatorTrace:
-    """A one-step estimator path.
+    """A one-step estimator path, stored as its correction sums: path rows
+    are formed only when read, by :meth:`rows`.
 
     tau     : learning interval end (start of the correction sum)
     prelim  : preliminary estimate (canonical coordinate order)
-    path    : array of shape (T - tau - 1, dim), row j is theta*_{t,T} at
-              t = tau + 2 + j
-    t_grid  : the time indices tau+2 .. T matching the path rows
-    clipped : per-row flag, True when any coordinate was clipped
+    score_sums : shape (T - tau, dim); row j is sum_{s=tau+1..tau+1+j} g_s(prelim)
+    inverse_information : I(prelim)^{-1}
+    problem : the estimation problem, whose bounds box clips every row
     prelim_estimate : the MME result with clip and degeneracy flags, or
               None when an explicit preliminary was supplied
+
+    ``path``, ``clipped``, ``t_grid`` and ``theta_at`` read through
+    :meth:`rows`: path row j is theta*_{t,T} at t = tau + 2 + j, clipped
+    flags the rows where any coordinate was clipped, and t_grid holds the
+    times tau+2 .. T.
     """
 
     tau: int
     prelim: np.ndarray
-    path: np.ndarray
-    t_grid: np.ndarray
-    clipped: np.ndarray
+    score_sums: np.ndarray
+    inverse_information: np.ndarray
+    problem: ParamProblem
     prelim_estimate: MmeEstimate | None
 
     @property
     def horizon(self) -> int:
-        return int(self.t_grid[-1])
+        return self.tau + len(self.score_sums)
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """theta*_{t,T} for t = start..stop, tau + 2 <= start <= stop <= T,
+        and their per-row clip flags: the whole path's rows bit for bit, as
+        each row is formed from its own sums alone."""
+        if not self.tau + 2 <= start <= stop <= self.horizon:
+            raise ValueError(f"path rows cover [{self.tau + 2}, {self.horizon}], got [{start}, {stop}]")
+        lo, hi = start - self.tau - 1, stop - self.tau
+        steps = np.arange(lo + 1, hi + 1, dtype=float)  # t - tau
+        u = self.score_sums[lo:hi] @ self.inverse_information / steps[:, None]
+        values, side = self.problem.clip(self.prelim[None, :] + u)
+        return values, side.any(axis=1)
+
+    @property
+    def path(self) -> np.ndarray:
+        return self.rows(self.tau + 2, self.horizon)[0]
+
+    @property
+    def clipped(self) -> np.ndarray:
+        return self.rows(self.tau + 2, self.horizon)[1]
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return np.arange(self.tau + 2, self.horizon + 1)
 
     def theta_at(self, t: int) -> np.ndarray:
         """The estimate in force at a whole time t: the preliminary for
@@ -74,22 +108,30 @@ class EstimatorTrace:
             raise ValueError(f"t={t} beyond the horizon {self.horizon}")
         if t <= self.tau + 1:
             return self.prelim
-        return self.path[t - self.tau - 2]
+        return self.rows(t, t)[0][0]
+
+
+def _guarded_floor(value: float) -> int:
+    """floor(value) for value >= 0, raised by one where value lies within a
+    relative 1e-8 below the next integer: a power or product that is whole in
+    exact arithmetic may round just below it (0.57 * 10000 = 5699.999...)."""
+    whole = math.floor(value)
+    if (whole + 1) - value < 1e-8 * max(value, 1.0):
+        whole += 1
+    return whole
 
 
 def learning_interval(horizon: int, delta: float) -> int:
     """tau = floor(T^delta), guarded against floating-point dips just below
-    an exact integer power; requires a whole T with tau <= T - 2."""
+    an exact integer power (_guarded_floor); requires a whole T with
+    tau <= T - 2."""
     delta = as_real("delta", delta)
     if not 0.5 < delta < 1.0:
         raise ValueError(f"need delta in (0.5, 1), got {delta}")
     horizon = as_whole("horizon", horizon)
     if horizon < 16:
         raise HorizonTooShort(f"need T >= 16, got {horizon}")
-    power = float(horizon) ** delta
-    tau = math.floor(power)
-    if (tau + 1) - power < 1e-8 * max(power, 1.0):
-        tau += 1
+    tau = _guarded_floor(float(horizon) ** delta)
     if tau > horizon - 2:
         raise HorizonTooShort(f"tau={tau} leaves no estimation window in T={horizon}")
     return tau
@@ -99,10 +141,12 @@ def one_step(x, problem: ParamProblem, delta: float = 0.6, prelim=None) -> Estim
     """One-step MLE process for the problem's unknown set.
 
     The correction sums of every row come from one cumulative sum of the
-    score increments, O(T) for the whole path. prelim, when given, replaces
-    the moment preliminary with explicit values in canonical coordinate
-    order; a value outside its bounds, NaN or inf raises ValueError. It
-    serves crafted scenarios and the study of the correction in isolation.
+    score increments, O(T); the trace stores them with the inverse
+    information, and a row costs its own matmul, divide and clip only when
+    read. prelim, when given, replaces the moment preliminary with explicit
+    values in canonical coordinate order; a value outside its bounds, NaN
+    or inf raises ValueError. It serves crafted scenarios and the study of
+    the correction in isolation.
     """
     x = as_series(x, 2)
     horizon = len(x) - 1
@@ -123,14 +167,11 @@ def one_step(x, problem: ParamProblem, delta: float = 0.6, prelim=None) -> Estim
     inv = np.linalg.inv(fisher_info(params_tau, problem.unknown))
 
     g = _score_increments(params_tau, x, tau, problem.unknown)
-    steps = np.arange(1, len(g) + 1, dtype=float)  # t - tau for t = tau+1..T
-    u = np.cumsum(g, axis=0) @ inv / steps[:, None]
-    path, side = problem.clip(prelim_values[None, :] + u[1:])  # t = tau+2 .. T
     return EstimatorTrace(
         tau=tau,
         prelim=prelim_values,
-        path=path,
-        t_grid=np.arange(tau + 2, horizon + 1),
-        clipped=side.any(axis=1),
+        score_sums=np.cumsum(g, axis=0),
+        inverse_information=inv,
+        problem=problem,
         prelim_estimate=prelim_est,
     )

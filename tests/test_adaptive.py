@@ -25,7 +25,7 @@ from hidden_ar import (
 )
 from hidden_ar.cli import main
 
-from hidden_ar.adaptive import _recursion
+from hidden_ar.adaptive import _plug_in, _recursion, _window_ends
 import hidden_ar.onestep as onestep_mod
 
 from conftest import (
@@ -299,6 +299,24 @@ class TestSStarLimit:
             s_star_limit(REF, "b")  # a coordinate name is not an unknown set
 
 
+class TestWindowEnds:
+    def test_a_non_finite_window_is_solved_alone(self, problem_b):
+        # The joined solve spreads a NaN from one window into all of them
+        # (0 * inf): then each window is solved alone, so the others still
+        # end as _plug_in ends them and the poisoned one ends non-finite.
+        x = simulate(REF, 400, seed=92).x
+        track = one_step(x, problem_b)
+        truth = problem_b.values_of(REF)
+        poisoned = x.copy()
+        poisoned[380] = np.inf
+        clean = [(track, 150, 200), (truth, 150, 200), (truth, 1, 300)]
+        windows = [(track, 350, 400), *clean, (truth, 300, 390)]
+        ends = _window_ends(poisoned, problem_b, windows)
+        assert not np.isfinite(ends[0]) and not np.isfinite(ends[-1])
+        assert ends[1:-1] == [float(_plug_in(x, problem_b, *window)[1][-1]) for window in clean]
+        assert _window_ends(x, problem_b, clean) == ends[1:-1]
+
+
 class TestErrorReport:
     def test_rows(self, problem_b):
         x = simulate(REF, 2000, seed=88).x
@@ -314,6 +332,12 @@ class TestErrorReport:
             assert r["filter_error"] == pytest.approx(t * diff * diff, rel=1e-12)
             dev = trace.theta_track.theta_at(t)[0] - REF.b
             assert r["estimator_error"] == pytest.approx(t * dev * dev, rel=1e-12)
+
+    def test_checkpoint_time_does_not_dip_below_its_decimal(self, problem_b):
+        # 0.29 * 100 = 28.999... in floating point: the row is t = 29.
+        x = simulate(REF, 100, seed=88).x
+        trace = adaptive_filter(x, problem_b, truth=REF)
+        assert [r["t"] for r in error_report(trace, [0.29, 0.28])] == [29.0, 28.0]
 
     def test_frozen_run_has_no_estimator_error(self, problem_b):
         x = simulate(REF, 2000, seed=89).x

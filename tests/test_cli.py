@@ -196,6 +196,16 @@ class TestFilter:
             assert lines == []
             assert "not finite at" in err
 
+    def test_non_numeric_x_cell_exit_2(self, capsys, tmp_path):
+        # The error names the file and the line of the cell, not only
+        # float()'s "could not convert string to float: ''".
+        data = tmp_path / "x.csv"
+        for body, line, cell in (("0,1.0\n1,\n2,3.0\n", 3, "''"), ("0,1.0\n1,2.0\n2,abc\n", 4, "'abc'"), ("0,1.0\n1\n", 3, "None")):
+            data.write_text("t,x\n" + body)
+            code, lines, err = run_cli(capsys, ["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+            assert code == 2 and lines == []
+            assert f"{data} line {line}: x value {cell} is not a number" in err
+
     def test_missing_x_column_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         with open(bad, "w") as fh:

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from hidden_ar import (
+    EstimatorTrace,
     ExperimentConfig,
     HorizonTooShort,
     ModelParams,
@@ -27,6 +28,7 @@ from hidden_ar import (
     fisher_info,
     learning_interval,
     mle,
+    one_step,
     run_monte_carlo,
     run_replication,
     s_star_limit,
@@ -36,7 +38,8 @@ from hidden_ar import (
 import hidden_ar.harness as harness_mod
 import hidden_ar.likelihood as likelihood_mod
 import hidden_ar.model_core as model_core_mod
-from hidden_ar.harness import _ks_pvalues, _ks_statistic, _targets, write_columns
+from hidden_ar.adaptive import _plug_in
+from hidden_ar.harness import _checkpoint_times, _ks_pvalues, _ks_statistic, _targets, write_columns
 from hidden_ar.model_core import _largest_a, _memory
 
 from conftest import ALL_SETS, REF, problem_for
@@ -187,6 +190,20 @@ class TestConfig:
         coerced = small_config(horizons=(400.0,), replications=np.int64(3), seed=2.0)
         assert coerced.horizons == (400,) and type(coerced.horizons[0]) is int
         assert type(coerced.replications) is int and type(coerced.seed) is int
+
+    def test_checkpoint_time_does_not_dip_below_its_decimal(self):
+        # 0.57 * 10000 = 5699.999... and 0.29 * 100 = 28.999... in floating
+        # point; t is the whole number the decimal names.
+        assert 0.57 * 10000 < 5700 and 0.29 * 100 < 29
+        assert _checkpoint_times(10000, (0.57, 0.5, 1.0)) == [(0.57, 5700), (0.5, 5000), (1.0, 10000)]
+        assert _checkpoint_times(100, (0.29,)) == [(0.29, 29)]
+        # At T = 100 and delta = 0.73, tau = 28: adaptive needs t >= 29,
+        # which v = 0.29 meets and v = 0.28 does not.
+        config = small_config(horizons=(100,), checkpoints=(0.29, 1.0), delta=0.73, estimators=("adaptive",))
+        assert learning_interval(100, 0.73) == 28
+        assert {r["t"] for r in run_replication(config, 0, 0)} == {29, 100}
+        with pytest.raises(ValueError, match="gives t=28"):
+            small_config(horizons=(100,), checkpoints=(0.28, 1.0), delta=0.73, estimators=("adaptive",))
 
     def test_params_and_problem_must_be_built(self):
         # A JSON document goes through from_dict; the constructor itself
@@ -411,6 +428,37 @@ class TestAdaptiveWindow:
         config = _adaptive_config(problem, 2000)
         assert _memory(0.999) > 2000
         assert _adaptive_rows(config) == _whole_track_rows(config)
+
+    @pytest.mark.parametrize(
+        "unknown, a_max",
+        [(unknown, 0.6) for unknown in ALL_SETS] + [(unknown, 0.999) for unknown in ALL_SETS if "a" in unknown],
+        ids=lambda p: ",".join(p) if isinstance(p, tuple) else str(p),
+    )
+    def test_one_solve_equals_each_window(self, unknown, a_max):
+        # One solve per replication gives every checkpoint's rows bit for bit
+        # as _plug_in and filter_stationary give them over its windows alone.
+        # At T = 2000 (tau = 95) the windows of t = 1000 and 1040 overlap and
+        # that of t = 140 starts at tau + 1; with an a box of +-0.999
+        # (J = 44316) every plug-in window starts there.
+        problem = problem_for(REF, unknown)
+        if "a" in unknown:
+            problem = ParamProblem(unknown=unknown, bounds=dict(problem.bounds, a=(-a_max, a_max)))
+        config = small_config(
+            problem=problem, horizons=(2000,), replications=1, checkpoints=(0.07, 0.5, 0.52), estimators=("adaptive",)
+        )
+        problem = config.problem
+        traj = simulate(config.params, 2000, config.seed, keep_hidden=True, stream=0)
+        track = one_step(traj.x, problem, config.delta)
+        memory = _memory(_largest_a(problem))
+        assert track.tau == 95 and 1040 - memory + 1 < 1000
+        want = []
+        for t in (140, 1000, 1040):
+            _, m_window = _plug_in(traj.x, problem, track, max(track.tau + 1, t - memory + 1), t)
+            oracle = filter_stationary(config.params, traj.x[max(0, t - memory) : t + 1]).m[-1]
+            want += [float(m_window[-1]) - float(oracle), float(m_window[-1]) - float(traj.y[t])]
+        rows = run_replication(config, 0, 0)
+        assert [r["t"] for r in rows] == [140, 140, 1000, 1000, 1040, 1040]
+        assert [r["value"] for r in rows] == want
 
     @pytest.mark.parametrize("a", [0.5, -0.9, 0.999])
     def test_oracle_window(self, a):
@@ -727,26 +775,36 @@ class TestFailureCapture:
         json.loads(report.to_json())
 
     @pytest.mark.parametrize(
-        "estimators, mme_fails_at, message",
+        "estimators, poisoned_t, mme_fails_at, message",
         [
-            pytest.param(("mme", "adaptive"), 200, "mme failed", id="mme-at-first-checkpoint"),
-            pytest.param(("adaptive", "mme"), 400, "filter recursion not finite", id="adaptive-first-at-T"),
-            pytest.param(("mme", "adaptive"), 400, "mme failed", id="mme-first-at-T"),
+            pytest.param(("mme", "adaptive"), 399, 200, "mme failed", id="mme-at-first-checkpoint"),
+            pytest.param(("adaptive", "mme"), 399, 400, "filter recursion not finite", id="adaptive-first-at-T"),
+            pytest.param(("mme", "adaptive"), 399, 400, "mme failed", id="mme-first-at-T"),
+            pytest.param(("mme", "adaptive"), 199, 400, "filter recursion not finite", id="adaptive-at-first-checkpoint"),
         ],
     )
-    def test_adaptive_error_surfaces_at_its_checkpoint(self, monkeypatch, estimators, mme_fails_at, message):
-        # A NaN in theta_hat_{T-1} poisons only step T, so the adaptive
-        # window fails at t = T = 400 and not at t = 200. The replication
-        # raises the first error in (checkpoint, estimator) order; the whole
-        # track is no longer run before the checkpoint loop.
+    def test_adaptive_error_surfaces_at_its_checkpoint(self, monkeypatch, estimators, poisoned_t, mme_fails_at, message):
+        # A NaN in theta*_{t,T} poisons only step t + 1: t = 399 fails the
+        # adaptive window of t = T = 400 and not that of t = 200, t = 199
+        # fails the window of t = 200. One solve runs every window before the
+        # checkpoint loop, and a NaN spreads through all of it, yet the
+        # replication raises the first error in (checkpoint, estimator) order.
+        # The row is poisoned as it is read: a NaN in the stored sums would
+        # be clipped to the lower bound like any NaN row.
         config = small_config(replications=1, estimators=estimators)
         real_one_step, real_mme = harness_mod.one_step, harness_mod.mme
 
+        class Poisoned(EstimatorTrace):
+            def rows(self, start, stop):
+                values, clipped = super().rows(start, stop)
+                if start <= poisoned_t <= stop:
+                    values = values.copy()
+                    values[poisoned_t - start] = np.nan
+                return values, clipped
+
         def poisoned(x, problem, delta=0.6, prelim=None):
             track = real_one_step(x, problem, delta, prelim)
-            path = track.path.copy()
-            path[-2] = np.nan  # row j is theta*_{tau+2+j}: this one is t = T - 1
-            return dataclasses.replace(track, path=path)
+            return Poisoned(**{f.name: getattr(track, f.name) for f in dataclasses.fields(track)})
 
         def mme(x, problem):
             if len(x) - 1 == mme_fails_at:

@@ -219,6 +219,39 @@ def test_path_equals_running_update(unknown):
     np.testing.assert_array_equal(trace.clipped, clipped)
 
 
+@pytest.mark.parametrize("unknown", ALL_SETS, ids=",".join)
+def test_rows_are_slices_of_the_whole_path(unknown):
+    # A trace stores its correction sums and forms rows only when read. Any
+    # range of rows, single rows included, and its clip flags are the
+    # matching slice of the path formed in one pass over all rows, bit for
+    # bit. A box of +-0.1 around the truth clips some rows of every set.
+    x = simulate(REF, 2000, seed=44).x
+    problem = problem_for(REF, unknown)
+    box = {name: (getattr(REF, name) - 0.1, getattr(REF, name) + 0.1) for name in problem.unknown}
+    trace = one_step(x, ParamProblem(unknown=problem.unknown, bounds=box, known=problem.known))
+    tau, horizon = trace.tau, trace.horizon
+    steps = np.arange(1, horizon - tau + 1, dtype=float)[:, None]
+    whole, side = trace.problem.clip(trace.prelim + trace.score_sums @ trace.inverse_information / steps)
+    whole, flags = whole[1:], side[1:].any(axis=1)  # t = tau+2 .. T
+    assert 0 < flags.sum() < len(flags)
+    np.testing.assert_array_equal(trace.path, whole)
+    np.testing.assert_array_equal(trace.clipped, flags)
+    np.testing.assert_array_equal(trace.t_grid, np.arange(tau + 2, horizon + 1))
+    rng = np.random.default_rng(45)
+    spans = [(tau + 2, tau + 2), (horizon, horizon), (tau + 2, horizon)]
+    spans += [tuple(sorted(rng.integers(tau + 2, horizon + 1, 2).tolist())) for _ in range(20)]
+    spans += [(t, t) for t in rng.integers(tau + 2, horizon + 1, 20).tolist()]
+    for start, stop in spans:
+        values, clipped = trace.rows(start, stop)
+        np.testing.assert_array_equal(values, whole[start - tau - 2 : stop - tau - 1])
+        np.testing.assert_array_equal(clipped, flags[start - tau - 2 : stop - tau - 1])
+    for t in (tau + 2, (tau + horizon) // 2, horizon):
+        np.testing.assert_array_equal(trace.theta_at(t), whole[t - tau - 2])
+    for start, stop in ((tau + 1, tau + 5), (tau + 5, tau + 4), (horizon, horizon + 1)):
+        with pytest.raises(ValueError, match="path rows cover"):
+            trace.rows(start, stop)
+
+
 class TestEfficiencySmoke:
     def test_normalized_variance_near_bound(self, problem_b):
         # Full-strength verification runs in the acceptance suite; this is

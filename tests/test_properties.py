@@ -22,7 +22,7 @@ from hidden_ar import (
     s_star_limit,
     simulate,
 )
-from hidden_ar.adaptive import _plug_in
+from hidden_ar.adaptive import _plug_in, _window_ends
 from hidden_ar.model_core import _largest_a, stationary, stationary_from
 
 from conftest import ALL_SETS, plugged_recursion, problem_for
@@ -157,6 +157,38 @@ def test_adaptive_window(case, where, cut):
         assert oracle == trace.oracle_m[t]
     else:
         assert abs(oracle - trace.oracle_m[t]) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=case_st(ALL_SETS), wheres=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), cut=st.floats(0.0, 1.0))
+def test_window_ends(case, wheres, cut):
+    # The harness's one solve over the plug-in and oracle windows of 1-4
+    # checkpoints, in any order and at any memory J, ends each window as
+    # _plug_in ends it alone, bit for bit, and the oracle windows as
+    # filter_stationary does; a window _plug_in cannot finish ends
+    # non-finite.
+    params, problem, x = case
+    track = _run(lambda: one_step(x, problem))
+    if track is None:
+        return
+    tau, horizon = track.tau, track.horizon
+    memory = 1 + round(cut * (horizon - 1))
+    truth = problem.values_of(params)
+    windows = []
+    for where in wheres:
+        t = tau + 1 + round(where * (horizon - tau - 1))
+        windows += [(track, max(tau + 1, t - memory + 1), t), (truth, max(1, t - memory + 1), t)]
+    ends = _window_ends(x, problem, windows)
+    assert len(ends) == len(windows)
+    for (plug, start, stop), end in zip(windows, ends):
+        try:
+            want = _plug_in(x, problem, plug, start, stop)[1][-1]
+        except ArithmeticError:
+            assert not np.isfinite(end)
+            continue
+        assert end == want
+        if plug is truth:
+            assert end == filter_stationary(params, x[start - 1 : stop + 1]).m[-1]
 
 
 @settings(max_examples=100, deadline=None)
