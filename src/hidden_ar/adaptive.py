@@ -13,7 +13,7 @@ step t use observations up to x_{t-1} only; the moment preliminary is fit
 on the whole series (batch setting, see the onestep module). adaptive_filter
 runs all three steps and returns the one-step path it fitted.
 
-The recursion runs on kalman's per-step kernel _recursion, one bidiagonal
+The recursion runs on kalman's per-step kernel _solve, one bidiagonal
 solve that equals the step-by-step loop bit for bit (see the kalman module).
 
 The filter forgets its start geometrically: the plug-in values lie in the
@@ -21,11 +21,13 @@ bounds box, so |A(theta_hat_{s-1})| = |a_s| sigma2_s / P_s < |a_s| <= a_max,
 the box's largest |a| (or the known |a|). Run from m = 0 at step t - J
 instead of from m*_tau, the recursion gives m*_t up to at most
 a_max^J max|drive| / (1 - a_max), drive_s = e(theta_hat_{s-1}) x_s; with
-J = model_core._memory(a_max) that is at most eps/4 * max|drive|. The Monte
-Carlo harness reads m*_t from such windows, and the oracle m_t(theta_0) from
-windows of the plug-in recursion frozen at the truth, all from one solve
-(_window_ends); adaptive_filter runs the whole track (_plug_in). Both read
-only the one-step rows a window consumes.
+J = model_core._memory(a_max) that is at most eps/4 * max|drive|, and the
+window is the whole track where it reaches back to tau + 1. One plug-in
+solve (_plug_in) runs any set of such windows: adaptive_filter's single
+window [tau+1, T], and the Monte Carlo checkpoints' windows of the last J
+steps before each t, with the oracle m_t(theta_0) as the plug-in recursion
+frozen at the truth (_checkpoint_means). It reads only the one-step rows a
+window consumes.
 
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
 S*^2 = tr(I^{-1} D), which s_star_limit gives (derivation in model_core).
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import as_real, as_series, as_whole
-from .kalman import _recursion, _solve, filter_stationary
-from .model_core import ModelParams, ParamProblem, s_star_limit, stationary_from, validate
+from .kalman import _finite_end, _solve, filter_stationary
+from .model_core import ModelParams, ParamProblem, _largest_a, _memory, s_star_limit, stationary_from, validate
 from .onestep import EstimatorTrace, _guarded_floor, learning_interval, one_step
 
 
@@ -110,7 +112,8 @@ def adaptive_filter(
     else:
         track = plug = one_step(x, problem, delta)
         tau = track.tau
-    theta_plug, m_star = _plug_in(x, problem, plug, tau + 1, horizon)
+    theta_plug, m_star, _ = _plug_in(x, problem, [(plug, tau + 1, horizon)])
+    _finite_end(m_star[-1])
 
     oracle_m = None
     if truth is not None:
@@ -144,38 +147,48 @@ def _plug_rows(plug, start: int, stop: int) -> np.ndarray:
     return np.vstack([prelim_rows, plug.rows(tau + 2, stop - 1)[0]])
 
 
-def _plug_in(x: np.ndarray, problem: ParamProblem, plug, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The plug-in steps s = start..stop from m*_{start-1} = 0 (plug and the
-    step range as in _plug_rows): (theta_plug, m_star), row s - start of each
-    for step s. Over [tau+1, T] this is the whole adaptive track; over a
-    later window, the track to within the memory bound of the module
-    docstring."""
-    theta_plug = _plug_rows(plug, start, stop)
-    sq = stationary_from(**problem.coordinates(theta_plug.T))
-    return theta_plug, _recursion(sq.a_coef, sq.gain * x[start : stop + 1])
-
-
-def _window_ends(x: np.ndarray, problem: ParamProblem, windows) -> list[float]:
-    """m at the last step of each window (plug, start, stop), as _plug_in's
-    m_star[-1] bit for bit, from one solve; a window that ends non-finite
-    is returned, not raised.
+def _plug_in(x: np.ndarray, problem: ParamProblem, windows) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The plug-in steps s = start..stop of every window (plug, start, stop),
+    each from m*_{start-1} = 0 (plug and the step range as in _plug_rows),
+    from one solve: (theta_plug, m, bounds), step s of window k in row
+    bounds[k] + s - start of each. A track that is not finite is returned,
+    not raised.
 
     The windows are joined end to end with the coefficient A set to 0 at
     each window's first step, where the solve's m = drive - (-0) m_prev
     rounds to the drive, so each starts from 0. A non-finite value spreads
     NaN into every window through 0 * inf (in the solve's forward and back
     passes), so then each window is solved alone."""
-    theta = np.vstack([_plug_rows(plug, start, stop) for plug, start, stop in windows])
-    sq = stationary_from(**problem.coordinates(theta.T))
+    theta_plug = np.vstack([_plug_rows(plug, start, stop) for plug, start, stop in windows])
+    sq = stationary_from(**problem.coordinates(theta_plug.T))
     drive = sq.gain * np.concatenate([x[start : stop + 1] for _, start, stop in windows])
     bounds = [0, *itertools.accumulate(stop - start + 1 for _, start, stop in windows)]
     a_coef = sq.a_coef
     a_coef[bounds[:-1]] = 0.0
     m = _solve(a_coef, drive)
-    ends = m[[i - 1 for i in bounds[1:]]]
-    if not np.isfinite(ends).all():
-        ends = np.array([_solve(a_coef[i:j], drive[i:j])[-1] for i, j in itertools.pairwise(bounds)])
-    return ends.tolist()
+    if not np.isfinite(m[[i - 1 for i in bounds[1:]]]).all():
+        m = np.concatenate([_solve(a_coef[i:j], drive[i:j]) for i, j in itertools.pairwise(bounds)])
+    return theta_plug, m, bounds
+
+
+def _checkpoint_means(
+    x: np.ndarray, problem: ParamProblem, track: EstimatorTrace, truth: ModelParams, times
+) -> list[tuple[float, float]]:
+    """(m*_t, m_t(truth)) at each checkpoint time t in times, from one
+    _plug_in solve over the last J = model_core._memory(a_max) steps before
+    every t (module docstring; the box bounds every plug-in |a|, and the
+    truth lies in it): the fitted track's plug-in steps max(tau+1, t-J+1)..t,
+    and the oracle as the plug-in frozen at the truth over steps
+    max(1, t-J+1)..t, which equals filter_stationary over x[max(0, t-J) .. t]
+    bit for bit. A window that ends non-finite is returned, not raised."""
+    memory = _memory(_largest_a(problem))
+    values = problem.values_of(truth)
+    windows = []
+    for t in times:
+        windows += [(track, max(track.tau + 1, t - memory + 1), t), (values, max(1, t - memory + 1), t)]
+    _, m, bounds = _plug_in(x, problem, windows)
+    ends = m[[i - 1 for i in bounds[1:]]].tolist()
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def _checkpoint_time(v: float, horizon: int) -> int:

@@ -12,25 +12,17 @@ isolation, and the report is bit-identical across runs.
 
 A replication fits the one-step process once, for onestep and adaptive
 alike; its rows are formed only where a checkpoint reads them. The adaptive
-rows read m*_t and the oracle m_t(theta_0) from runs started at 0 over the
-filter's memory only: the plug-in steps max(tau+1, t-J+1)..t and the
-stationary filter at the truth over x[max(0, t-J) .. t], with
-J = model_core._memory(a_max), a_max the box's largest |a| or the known |a|
-(the truth lies in the box). What the cut leaves out is at most
-a_max^J max|drive| / (1 - a_max) <= 2^-54 max|drive| (see the adaptive
-module), so the rows agree with adaptive_filter's whole tracks to rounding,
-and bit for bit where both windows reach back to the start (J >= t). The
-oracle window is the plug-in recursion frozen at the truth, which equals
-filter_stationary bit for bit, so one solve (adaptive._window_ends) runs the
-windows of every checkpoint, joined end to end, before the checkpoint loop.
+rows read m*_t and the oracle m_t(theta_0) of every checkpoint from one
+solve over the filter's memory (adaptive._checkpoint_means, whose module
+gives the window rule and the bound on what it cuts), so they agree with
+adaptive_filter's whole tracks to rounding.
 
 The report is JSON-ready as it is built. A non-finite row value (an
 estimate, or an adaptive filter error) fails its replication, which becomes
 an error row with the message. A replication runs its estimators checkpoint
 by checkpoint, so it records the first error in (checkpoint, estimator)
-order. The window solve raises nothing: an adaptive plug-in window that
-ends non-finite raises kalman's "filter recursion not finite"
-ArithmeticError at its own checkpoint, in its place in that order.
+order. The window solve raises nothing: an adaptive m*_t that is not
+finite fails its row at its own checkpoint, in its place in that order.
 A statistic that is undefined is None where it is computed: a cell's var
 for n < 2, its ratio without a risk or a positive target, and its KS test
 without a positive target, for n < 2 or on a "y" cell.
@@ -49,16 +41,13 @@ from typing import Any, Callable
 import numpy as np
 from scipy import special, stats
 
-from .adaptive import _checkpoint_time, _window_ends
+from .adaptive import _checkpoint_means, _checkpoint_time
 from .errors import FisherSingular, UnsupportedSet, as_real, as_whole
-from .kalman import _finite_end
 from .likelihood import MAX_DIM, _Surface, bayes, mle
 from .model_core import (
     ModelParams,
     ParamProblem,
     _excess_and_information,
-    _largest_a,
-    _memory,
     fisher_info,
     stationary,
     validate,
@@ -214,17 +203,16 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     are not whole numbers or lie outside the config raise ValueError.
 
     The whole-series one-step fit runs first, when onestep or adaptive is
-    selected; with adaptive, one solve then runs the plug-in and oracle
-    windows of the last J steps before every checkpoint (the module
-    docstring gives J and the bound on what is cut). Then each checkpoint
-    prefix x[: t + 1] runs the selected estimators in config order: onestep
-    forms its one row at t, mle and bayes read one likelihood surface of
-    that prefix, built when the first of them runs, and adaptive reads its
-    windows' ends. Rows come back estimator by estimator. Each estimator
-    gives the value, or raises the error, it gives alone, up to that bound
-    for adaptive; a replication raises the first error in (checkpoint,
-    estimator) order, so an adaptive ArithmeticError (a window that does
-    not end finite) surfaces at its own checkpoint, not at the solve.
+    selected; with adaptive, one solve then gives m*_t and the oracle
+    m_t(theta_0) of every checkpoint (adaptive._checkpoint_means). Then each
+    checkpoint prefix x[: t + 1] runs the selected estimators in config
+    order: onestep forms its one row at t, mle and bayes read one likelihood
+    surface of that prefix, built when the first of them runs, and adaptive
+    reads its pair. Rows come back estimator by estimator. Each estimator
+    gives the value, or raises the error, it gives alone, up to the window
+    bound for adaptive; a replication raises the first error in
+    (checkpoint, estimator) order, so an adaptive m*_t that is not finite
+    fails its row at its own checkpoint, not at the solve.
     """
     horizon_index, rep = as_whole("horizon_index", horizon_index), as_whole("rep", rep)
     if not (0 <= horizon_index < len(config.horizons) and 0 <= rep < config.replications):
@@ -259,15 +247,7 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
     if "onestep" in config.estimators or adaptive:
         track = one_step(x, problem, config.delta)
     if adaptive:
-        # m*_t and m_t(theta_0) of every checkpoint from one solve over their
-        # last J steps: the box bounds every plug-in |a|, and validate put
-        # the truth in it. The oracle is the frozen plug-in at the truth.
-        memory = _memory(_largest_a(problem))
-        truth = problem.values_of(config.params)
-        windows = []
-        for _, t in times:
-            windows += [(track, max(track.tau + 1, t - memory + 1), t), (truth, max(1, t - memory + 1), t)]
-        ends = _window_ends(x, problem, windows)
+        means = _checkpoint_means(x, problem, track, config.params, [t for _, t in times])
     grid_names = [name for name in config.estimators if name in ("mle", "bayes")]
 
     for k, (v, t) in enumerate(times):
@@ -275,7 +255,7 @@ def run_replication(config: ExperimentConfig, horizon_index: int, rep: int) -> l
         surface = None  # the last prefix's, released before this one's is built
         for name in config.estimators:
             if name == "adaptive":
-                m_star, oracle = _finite_end(ends[2 * k]), ends[2 * k + 1]
+                m_star, oracle = means[k]
                 emit("adaptive", "m", v, t, m_star - oracle)
                 emit("adaptive", "y", v, t, m_star - float(traj.y[t]))
                 continue

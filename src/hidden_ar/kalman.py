@@ -31,18 +31,18 @@ and m[t] is computed from x[t], so innovations exist for t >= 1 only.
 Two kernels run every recursion m_t = A_t*m_{t-1} + e_t*x_t. Constant
 coefficients (the stationary filter and its derivative tracks) go through
 scipy's lfilter. Per-step coefficients (the transient filter, and the
-adaptive filter's plug-in steps) go through _recursion, one LAPACK dgttrs
+adaptive filter's plug-in steps) go through _solve, one LAPACK dgttrs
 solve of the unit lower bidiagonal system m_t - A_t m_{t-1} = e_t x_t,
 handed over already factored: L with subdiagonal -A_t, U = I, identity
 pivots. dgttrs then eliminates nothing; its forward pass computes
 e_t x_t - (-A_t) m_{t-1}, which rounds exactly as the recursion's multiply
 and add, and its back pass subtracts 0 * m and divides by 1, so the track
 equals the step-by-step loop bit for bit. solve_banded and BLAS dtbsv stay
-unused: their kernels may fuse the multiply-add into one rounding. _solve is
-that solve without _recursion's finiteness check, for callers that join
-several recursions into one system and check each end themselves. The only
-per-step Python work left in the transient filter is the variance
-recursion gamma_t = riccati_map(gamma_{t-1}), which does not read x.
+unused: their kernels may fuse the multiply-add into one rounding. A
+non-finite entry carries forward to the last value m_n, which _finite_end
+checks for the callers that need a finite track. The only per-step Python
+work left in the transient filter is the variance recursion
+gamma_t = riccati_map(gamma_{t-1}), which does not read x.
 Where gamma_{t-1} passes model_core._large_variance, sigma2*gamma or
 f^2*gamma may overflow, so the transient filter divides A_t, e_t and P_t
 through by gamma_{t-1} there, as riccati_map does.
@@ -108,24 +108,17 @@ def filter_transient(
     p = s2 / scale + f * f * g_prev
     a_coef = a * (s2 / scale) / p
     drive = a * f * g_prev / p * x[1:]
-    drive[0] += a_coef[0] * m0  # _recursion starts from 0; m_1 rounds as A_1*m0 + drive_1
-    m = np.concatenate(([m0], _recursion(a_coef, drive)))
+    drive[0] += a_coef[0] * m0  # _solve starts from 0; m_1 rounds as A_1*m0 + drive_1
+    m = np.concatenate(([m0], _solve(a_coef, drive)))
+    _finite_end(m[-1])
     zeta = (x[1:] - f * m[:-1]) / (np.sqrt(p) * np.sqrt(scale))
     return FilterTrace(m=m, gamma=gamma, innovations=zeta, dm=None)
 
 
-def _recursion(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit;
-    ArithmeticError when the track is not finite (a non-finite coefficient,
-    or overflow)."""
-    m = _solve(a_coef, drive)
-    # A non-finite entry carries forward to m_n, so m_n stands for the track.
-    _finite_end(m[-1])
-    return m
-
-
 def _solve(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """_recursion's track without its finiteness check (a_coef_1 is unused)."""
+    """m_t = a_coef_t m_{t-1} + drive_t for t = 1..n from m_0 = 0, bit for bit
+    (a_coef_1 is unused); a non-finite coefficient, or an overflow, leaves a
+    track that is not finite from there on, unchecked."""
     # L with subdiagonal -a_coef, U = I and identity pivots are the LU factors
     # of m_t - a_coef_t m_{t-1} = drive_t, so dgttrs eliminates nothing and
     # rounds as the recursion does (see the module docstring; not
@@ -142,15 +135,13 @@ def _solve(a_coef: np.ndarray, drive: np.ndarray) -> np.ndarray:
     return m[:n]
 
 
-def _finite_end(m_n: float) -> float:
-    """m_n, the last value of a recursion's track, as a float; the
-    ArithmeticError of _recursion when it is not finite."""
-    m_n = float(m_n)
+def _finite_end(m_n: float) -> None:
+    """ArithmeticError when m_n, the last value of a recursion's track, is
+    not finite."""
     if not math.isfinite(m_n):
         raise ArithmeticError(
-            f"filter recursion not finite (m_n = {m_n}): a non-finite coefficient or an overflow"
+            f"filter recursion not finite (m_n = {float(m_n)}): a non-finite coefficient or an overflow"
         )
-    return m_n
 
 
 def _require_finite(**starts: float) -> None:

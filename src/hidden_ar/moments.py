@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_series
+from .errors import ObservationsOverflow, as_series
 from .model_core import ModelParams, ParamProblem
 
 _DEGENERATE_TOL = 1e-12
@@ -67,13 +67,17 @@ class MmeEstimate:
 
 
 def s_statistics(x) -> MomentStats:
-    """Compute (S1, S2, S3) from X_0..X_T with divisor T = len(x) - 1."""
+    """Compute (S1, S2, S3) from X_0..X_T with divisor T = len(x) - 1;
+    ObservationsOverflow when one of them is not finite."""
     x = as_series(x, 4)
     t_used = len(x) - 1
-    d = np.diff(x)
-    s1 = float(d @ d) / t_used
-    s2 = float(d[1:] @ d[:-1]) / t_used
-    s3 = float(d[2:] @ d[:-2]) / t_used
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        d = np.diff(x)
+        s1 = float(d @ d) / t_used
+        s2 = float(d[1:] @ d[:-1]) / t_used
+        s3 = float(d[2:] @ d[:-2]) / t_used
+    if not all(map(math.isfinite, (s1, s2, s3))):
+        raise ObservationsOverflow(f"the difference statistics overflow: S1 = {s1}, S2 = {s2}, S3 = {s3}")
     return MomentStats(s1=s1, s2=s2, s3=s3, t_used=t_used)
 
 

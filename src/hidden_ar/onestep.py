@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooShort, as_real, as_series, as_whole
+from .errors import HorizonTooShort, ObservationsOverflow, as_real, as_series, as_whole
 from .kalman import _score_increments
 from .model_core import ParamProblem, fisher_info
 from .moments import MmeEstimate, mme
@@ -78,6 +78,7 @@ class EstimatorTrace:
         """theta*_{t,T} for t = start..stop, tau + 2 <= start <= stop <= T,
         and their per-row clip flags: the whole path's rows bit for bit, as
         each row is formed from its own sums alone."""
+        start, stop = as_whole("start", start), as_whole("stop", stop)
         if not self.tau + 2 <= start <= stop <= self.horizon:
             raise ValueError(f"path rows cover [{self.tau + 2}, {self.horizon}], got [{start}, {stop}]")
         lo, hi = start - self.tau - 1, stop - self.tau
@@ -166,11 +167,15 @@ def one_step(x, problem: ParamProblem, delta: float = 0.6, prelim=None) -> Estim
     params_tau = problem.point(prelim_values)
     inv = np.linalg.inv(fisher_info(params_tau, problem.unknown))
 
-    g = _score_increments(params_tau, x, tau, problem.unknown)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        score_sums = np.cumsum(_score_increments(params_tau, x, tau, problem.unknown), axis=0)
+    # A non-finite increment carries into every later sum, so the last stands for all.
+    if not np.isfinite(score_sums[-1]).all():
+        raise ObservationsOverflow(f"the score sums overflow: {score_sums[-1].tolist()} at t = T")
     return EstimatorTrace(
         tau=tau,
         prelim=prelim_values,
-        score_sums=np.cumsum(g, axis=0),
+        score_sums=score_sums,
         inverse_information=inv,
         problem=problem,
         prelim_estimate=prelim_est,

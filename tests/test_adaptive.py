@@ -25,7 +25,8 @@ from hidden_ar import (
 )
 from hidden_ar.cli import main
 
-from hidden_ar.adaptive import _plug_in, _recursion, _window_ends
+from hidden_ar.adaptive import _plug_in
+from hidden_ar.kalman import _finite_end, _solve
 import hidden_ar.onestep as onestep_mod
 
 from conftest import (
@@ -74,33 +75,34 @@ class TestRecursionSolve:
             for _ in range(4):
                 a_coef = rng.uniform(-edge, edge, n)
                 drive = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal(n)
-                m = _recursion(a_coef, drive)
+                m = _solve(a_coef, drive)
                 assert m.shape == (n,)
                 assert np.array_equal(m, recursion_loop(a_coef, drive))
             # Coefficients within 1e-12 of the unit circle, of either sign.
             near = 1.0 - 10.0 ** rng.uniform(-12, -1, n)
             a_coef = np.clip(rng.choice([-1.0, 1.0], n) * near, -edge, edge)
             drive = rng.standard_normal(n)
-            assert np.array_equal(_recursion(a_coef, drive), recursion_loop(a_coef, drive))
+            assert np.array_equal(_solve(a_coef, drive), recursion_loop(a_coef, drive))
 
     def test_constant_coefficient(self):
         rng = np.random.default_rng(512)
         for a in (REF_VALUES["a_coef"], -0.9, 1.0 - 1e-12):
             drive = rng.standard_normal(5000)
             a_coef = np.full(5000, a)
-            assert np.array_equal(_recursion(a_coef, drive), recursion_loop(a_coef, drive))
+            assert np.array_equal(_solve(a_coef, drive), recursion_loop(a_coef, drive))
 
     def test_drive_left_unchanged(self):
         drive = np.arange(1.0, 6.0)
-        _recursion(np.full(5, 0.5), drive)
+        _solve(np.full(5, 0.5), drive)
         assert np.array_equal(drive, np.arange(1.0, 6.0))
 
     def test_singular_system_raises(self):
         # Nothing pivots, so an infinite coefficient is caught by the track
         # it leaves (inf from m_2 on), and so is a track that overflows.
         for a_coef, drive in (([0.5, np.inf, 0.5], [1.0] * 3), ([0.9] * 4, [1e308] * 4)):
+            m = _solve(np.array(a_coef), np.array(drive))
             with pytest.raises(ArithmeticError, match="not finite"):
-                _recursion(np.array(a_coef), np.array(drive))
+                _finite_end(m[-1])
 
     def test_adaptive_runs_match_loop(self, problem_b, problem_f, problem_a, problem_fa):
         # Estimated runs on every supported set, the shortest frozen run
@@ -303,7 +305,7 @@ class TestWindowEnds:
     def test_a_non_finite_window_is_solved_alone(self, problem_b):
         # The joined solve spreads a NaN from one window into all of them
         # (0 * inf): then each window is solved alone, so the others still
-        # end as _plug_in ends them and the poisoned one ends non-finite.
+        # run as they run alone and the poisoned one ends non-finite.
         x = simulate(REF, 400, seed=92).x
         track = one_step(x, problem_b)
         truth = problem_b.values_of(REF)
@@ -311,10 +313,28 @@ class TestWindowEnds:
         poisoned[380] = np.inf
         clean = [(track, 150, 200), (truth, 150, 200), (truth, 1, 300)]
         windows = [(track, 350, 400), *clean, (truth, 300, 390)]
-        ends = _window_ends(poisoned, problem_b, windows)
-        assert not np.isfinite(ends[0]) and not np.isfinite(ends[-1])
-        assert ends[1:-1] == [float(_plug_in(x, problem_b, *window)[1][-1]) for window in clean]
-        assert _window_ends(x, problem_b, clean) == ends[1:-1]
+        theta, m, bounds = _plug_in(poisoned, problem_b, windows)
+        assert bounds == [0, 51, 102, 153, 453, 544]
+        assert not np.isfinite(m[bounds[1] - 1]) and not np.isfinite(m[-1])
+        for k, window in enumerate(clean, start=1):
+            want_theta, want_m, _ = _plug_in(x, problem_b, [window])
+            assert np.array_equal(theta[bounds[k] : bounds[k + 1]], want_theta)
+            assert np.array_equal(m[bounds[k] : bounds[k + 1]], want_m)
+        assert np.array_equal(_plug_in(x, problem_b, clean)[1], m[bounds[1] : bounds[-2]])
+
+    @pytest.mark.parametrize("unknown", ALL_SETS, ids=",".join)
+    def test_adaptive_filter_is_the_one_window_case(self, unknown):
+        # adaptive_filter's track and plug rows are _plug_in over [tau+1, T],
+        # bit for bit, with the fitted track and with the truth plugged in.
+        problem = problem_for(REF, unknown)
+        x = simulate(REF, 2000, seed=93).x
+        for frozen_at in (None, REF):
+            trace = adaptive_filter(x, problem, frozen_at=frozen_at)
+            plug = trace.theta_track if frozen_at is None else problem.values_of(REF)
+            theta, m, bounds = _plug_in(x, problem, [(plug, trace.tau + 1, 2000)])
+            assert bounds == [0, 2000 - trace.tau]
+            assert np.array_equal(trace.theta_plug, theta)
+            assert np.array_equal(trace.m_star, m)
 
 
 class TestErrorReport:

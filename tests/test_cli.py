@@ -176,10 +176,10 @@ class TestFilter:
 
     def test_overflowing_data_exit_2(self, capsys, tmp_path):
         # Finite values whose squares overflow: an input error, with
-        # nothing (no NaN log-likelihood) on stdout.
+        # nothing (no NaN log-likelihood, no estimate on a bound) on stdout.
         data = tmp_path / "x.csv"
         write_series_csv(data, simulate(REF, 2000, seed=9).x * 1e160)
-        for argv in (["mle"], ["bayes", "--grid-size", "64"]):
+        for argv in (["mle"], ["bayes", "--grid-size", "64"], ["mme"], ["onestep", "--out", str(tmp_path)]):
             code, lines, err = run_cli(capsys, argv + ["--data", str(data)])
             assert code == 2
             assert lines == []

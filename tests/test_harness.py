@@ -38,7 +38,7 @@ from hidden_ar import (
 import hidden_ar.harness as harness_mod
 import hidden_ar.likelihood as likelihood_mod
 import hidden_ar.model_core as model_core_mod
-from hidden_ar.adaptive import _plug_in
+from hidden_ar.adaptive import _checkpoint_means, _plug_in
 from hidden_ar.harness import _checkpoint_times, _ks_pvalues, _ks_statistic, _targets, write_columns
 from hidden_ar.model_core import _largest_a, _memory
 
@@ -435,8 +435,9 @@ class TestAdaptiveWindow:
         ids=lambda p: ",".join(p) if isinstance(p, tuple) else str(p),
     )
     def test_one_solve_equals_each_window(self, unknown, a_max):
-        # One solve per replication gives every checkpoint's rows bit for bit
-        # as _plug_in and filter_stationary give them over its windows alone.
+        # One solve per replication (_checkpoint_means) gives every
+        # checkpoint's pair, and so its rows, bit for bit as _plug_in and
+        # filter_stationary give them over its windows alone.
         # At T = 2000 (tau = 95) the windows of t = 1000 and 1040 overlap and
         # that of t = 140 starts at tau + 1; with an a box of +-0.999
         # (J = 44316) every plug-in window starts there.
@@ -451,11 +452,13 @@ class TestAdaptiveWindow:
         track = one_step(traj.x, problem, config.delta)
         memory = _memory(_largest_a(problem))
         assert track.tau == 95 and 1040 - memory + 1 < 1000
-        want = []
+        pairs, want = [], []
         for t in (140, 1000, 1040):
-            _, m_window = _plug_in(traj.x, problem, track, max(track.tau + 1, t - memory + 1), t)
-            oracle = filter_stationary(config.params, traj.x[max(0, t - memory) : t + 1]).m[-1]
-            want += [float(m_window[-1]) - float(oracle), float(m_window[-1]) - float(traj.y[t])]
+            m_star = float(_plug_in(traj.x, problem, [(track, max(track.tau + 1, t - memory + 1), t)])[1][-1])
+            oracle = float(filter_stationary(config.params, traj.x[max(0, t - memory) : t + 1]).m[-1])
+            pairs.append((m_star, oracle))
+            want += [m_star - oracle, m_star - float(traj.y[t])]
+        assert _checkpoint_means(traj.x, problem, track, config.params, (140, 1000, 1040)) == pairs
         rows = run_replication(config, 0, 0)
         assert [r["t"] for r in rows] == [140, 140, 1000, 1000, 1040, 1040]
         assert [r["value"] for r in rows] == want
@@ -778,9 +781,9 @@ class TestFailureCapture:
         "estimators, poisoned_t, mme_fails_at, message",
         [
             pytest.param(("mme", "adaptive"), 399, 200, "mme failed", id="mme-at-first-checkpoint"),
-            pytest.param(("adaptive", "mme"), 399, 400, "filter recursion not finite", id="adaptive-first-at-T"),
+            pytest.param(("adaptive", "mme"), 399, 400, "adaptive:m at t=400", id="adaptive-first-at-T"),
             pytest.param(("mme", "adaptive"), 399, 400, "mme failed", id="mme-first-at-T"),
-            pytest.param(("mme", "adaptive"), 199, 400, "filter recursion not finite", id="adaptive-at-first-checkpoint"),
+            pytest.param(("mme", "adaptive"), 199, 400, "adaptive:m at t=200", id="adaptive-at-first-checkpoint"),
         ],
     )
     def test_adaptive_error_surfaces_at_its_checkpoint(self, monkeypatch, estimators, poisoned_t, mme_fails_at, message):

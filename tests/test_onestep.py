@@ -10,12 +10,15 @@ from hidden_ar import (
     FisherSingular,
     HorizonTooShort,
     ModelParams,
+    ObservationsOverflow,
     ParamProblem,
+    adaptive_filter,
     fisher_info,
     learning_interval,
     mme,
     one_step,
     run_monte_carlo,
+    s_statistics,
     simulate,
 )
 from hidden_ar.cli import main
@@ -250,6 +253,26 @@ def test_rows_are_slices_of_the_whole_path(unknown):
     for start, stop in ((tau + 1, tau + 5), (tau + 5, tau + 4), (horizon, horizon + 1)):
         with pytest.raises(ValueError, match="path rows cover"):
             trace.rows(start, stop)
+    # Whole floats are read as theta_at reads t; anything else is a ValueError.
+    np.testing.assert_array_equal(trace.rows(tau + 2.0, float(horizon))[0], whole)
+    for start, stop in ((tau + 2.5, horizon), (tau + 2, horizon - 0.5), (True, horizon), (tau + 2, "2000")):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            trace.rows(start, stop)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+@pytest.mark.parametrize("unknown", [("b",), ("f", "a"), ("a", "b", "sigma2")], ids=",".join)
+def test_overflowing_observations_raise(unknown, scale):
+    # Finite observations whose squares overflow, so S1 is inf and S2, S3
+    # NaN: each stage raises instead of clipping them into the box. From an
+    # explicit preliminary, the score sums overflow instead.
+    x = simulate(REF, 2000, seed=3).x * scale
+    problem = problem_for(REF, unknown)
+    for run in (s_statistics, mme, one_step, adaptive_filter):
+        with pytest.raises(ObservationsOverflow, match="difference statistics overflow"):
+            run(x) if run is s_statistics else run(x, problem)
+    with pytest.raises(ObservationsOverflow, match="score sums overflow"):
+        one_step(x, problem, prelim=problem.values_of(REF))
 
 
 class TestEfficiencySmoke:

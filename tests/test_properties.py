@@ -22,8 +22,8 @@ from hidden_ar import (
     s_star_limit,
     simulate,
 )
-from hidden_ar.adaptive import _plug_in, _window_ends
-from hidden_ar.model_core import _largest_a, stationary, stationary_from
+from hidden_ar.adaptive import _checkpoint_means, _plug_in
+from hidden_ar.model_core import _largest_a, _memory, stationary, stationary_from
 
 from conftest import ALL_SETS, plugged_recursion, problem_for
 
@@ -129,10 +129,11 @@ def _window_tolerance(alpha: float, memory: int, drive: np.ndarray) -> float:
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=case_st(ALL_SETS), where=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0))
+@given(case=case_st(ALL_SETS), where=st.floats(0.0, 1.0), cut=st.floats(0.0, 1.0) | st.none())
 def test_adaptive_window(case, where, cut):
-    # The harness's windows, at any checkpoint t and any memory J: the
-    # plug-in run over [max(tau + 1, t - J + 1), t] and the oracle over
+    # The harness's windows, at any checkpoint t and any memory J (cut None:
+    # the problem's own J, at which _checkpoint_means gives the same pair):
+    # the plug-in run over [max(tau + 1, t - J + 1), t] and the oracle over
     # x[t - J .. t] give the whole tracks' m*_t and m_t(theta_0) within the
     # memory bound, and bit for bit where they reach back to the start.
     params, problem, x = case
@@ -141,9 +142,9 @@ def test_adaptive_window(case, where, cut):
         return
     tau, horizon = trace.tau, trace.horizon
     t = tau + 1 + round(where * (horizon - tau - 1))
-    memory = 1 + round(cut * (horizon - 1))
+    memory = _memory(_largest_a(problem)) if cut is None else 1 + round(cut * (horizon - 1))
     start = max(tau + 1, t - memory + 1)
-    theta_plug, m_window = _plug_in(x, problem, trace.theta_track, start, t)
+    theta_plug, m_window, _ = _plug_in(x, problem, [(trace.theta_track, start, t)])
     assert np.array_equal(theta_plug, trace.theta_plug[start - tau - 1 : t - tau])
     sq = stationary_from(**problem.coordinates(trace.theta_plug[: t - tau].T))
     tol = _window_tolerance(_largest_a(problem), memory, sq.gain * x[tau + 1 : t + 1])
@@ -157,16 +158,17 @@ def test_adaptive_window(case, where, cut):
         assert oracle == trace.oracle_m[t]
     else:
         assert abs(oracle - trace.oracle_m[t]) <= tol
+    if cut is None:
+        assert _checkpoint_means(x, problem, trace.theta_track, params, [t]) == [(m_window[-1], oracle)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=case_st(ALL_SETS), wheres=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), cut=st.floats(0.0, 1.0))
 def test_window_ends(case, wheres, cut):
-    # The harness's one solve over the plug-in and oracle windows of 1-4
-    # checkpoints, in any order and at any memory J, ends each window as
-    # _plug_in ends it alone, bit for bit, and the oracle windows as
-    # filter_stationary does; a window _plug_in cannot finish ends
-    # non-finite.
+    # One solve over the plug-in and oracle windows of 1-4 checkpoints, in
+    # any order and at any memory J, runs each window as _plug_in runs it
+    # alone, bit for bit, and ends the oracle windows as filter_stationary
+    # does; a window that does not run finite alone ends non-finite.
     params, problem, x = case
     track = _run(lambda: one_step(x, problem))
     if track is None:
@@ -178,17 +180,17 @@ def test_window_ends(case, wheres, cut):
     for where in wheres:
         t = tau + 1 + round(where * (horizon - tau - 1))
         windows += [(track, max(tau + 1, t - memory + 1), t), (truth, max(1, t - memory + 1), t)]
-    ends = _window_ends(x, problem, windows)
-    assert len(ends) == len(windows)
-    for (plug, start, stop), end in zip(windows, ends):
-        try:
-            want = _plug_in(x, problem, plug, start, stop)[1][-1]
-        except ArithmeticError:
-            assert not np.isfinite(end)
+    theta, m, bounds = _plug_in(x, problem, windows)
+    assert len(bounds) == len(windows) + 1 and bounds[-1] == len(theta) == len(m)
+    for (plug, start, stop), i, j in zip(windows, bounds, bounds[1:]):
+        want_theta, want_m, _ = _plug_in(x, problem, [(plug, start, stop)])
+        assert np.array_equal(theta[i:j], want_theta)
+        if not np.isfinite(want_m[-1]):
+            assert not np.isfinite(m[j - 1])
             continue
-        assert end == want
+        assert np.array_equal(m[i:j], want_m)
         if plug is truth:
-            assert end == filter_stationary(params, x[start - 1 : stop + 1]).m[-1]
+            assert m[j - 1] == filter_stationary(params, x[start - 1 : stop + 1]).m[-1]
 
 
 @settings(max_examples=100, deadline=None)
