@@ -26,7 +26,9 @@ window is the whole track where it reaches back to tau + 1. One plug-in
 solve (_plug_in) runs any set of such windows: adaptive_filter's single
 window [tau+1, T], and the Monte Carlo checkpoints' windows of the last J
 steps before each t, with the oracle m_t(theta_0) as the plug-in recursion
-frozen at the truth (_checkpoint_means). It reads only the one-step rows a
+frozen at the truth (_checkpoint_means). The truth's |a| bounds the
+oracle's |A(theta_0)| but may lie outside the box, so those windows take
+a_max as the larger of the two. _plug_in reads only the one-step rows a
 window consumes.
 
 For every unknown set t * E(m*_t - m_t(theta_0))^2 converges to
@@ -130,36 +132,25 @@ def adaptive_filter(
     )
 
 
-def _plug_rows(plug, start: int, stop: int) -> np.ndarray:
-    """theta_hat_{s-1} for the plug-in steps s = start..stop, row s - start
-    for step s, tau + 1 <= start <= stop <= T. ``plug`` is the fitted
-    one-step process, whose step s consumes the preliminary for
-    s - 1 <= tau + 1 and the path row theta*_{s-1,T} afterwards, or the
-    values of a frozen point."""
-    if not isinstance(plug, EstimatorTrace):
-        return np.tile(plug, (stop - start + 1, 1))
-    tau = plug.tau
-    if start > tau + 2:
-        return plug.rows(start - 1, stop - 1)[0]
-    prelim_rows = np.tile(plug.prelim, (min(stop, tau + 2) - start + 1, 1))
-    if stop <= tau + 2:
-        return prelim_rows
-    return np.vstack([prelim_rows, plug.rows(tau + 2, stop - 1)[0]])
-
-
 def _plug_in(x: np.ndarray, problem: ParamProblem, windows) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The plug-in steps s = start..stop of every window (plug, start, stop),
-    each from m*_{start-1} = 0 (plug and the step range as in _plug_rows),
-    from one solve: (theta_plug, m, bounds), step s of window k in row
-    bounds[k] + s - start of each. A track that is not finite is returned,
-    not raised.
+    tau + 1 <= start <= stop <= T, each from m*_{start-1} = 0, from one
+    solve: (theta_plug, m, bounds), step s of window k in row
+    bounds[k] + s - start of each. ``plug`` is the fitted one-step process,
+    whose step s reads the estimate in force at s - 1 (EstimatorTrace.rows),
+    or the values of a frozen point, tiled. A track that is not finite is
+    returned, not raised.
 
     The windows are joined end to end with the coefficient A set to 0 at
     each window's first step, where the solve's m = drive - (-0) m_prev
     rounds to the drive, so each starts from 0. A non-finite value spreads
     NaN into every window through 0 * inf (in the solve's forward and back
     passes), so then each window is solved alone."""
-    theta_plug = np.vstack([_plug_rows(plug, start, stop) for plug, start, stop in windows])
+    rows = [
+        plug.rows(start - 1, stop - 1)[0] if isinstance(plug, EstimatorTrace) else np.tile(plug, (stop - start + 1, 1))
+        for plug, start, stop in windows
+    ]
+    theta_plug = np.vstack(rows)
     sq = stationary_from(**problem.coordinates(theta_plug.T))
     drive = sq.gain * np.concatenate([x[start : stop + 1] for _, start, stop in windows])
     bounds = [0, *itertools.accumulate(stop - start + 1 for _, start, stop in windows)]
@@ -175,13 +166,14 @@ def _checkpoint_means(
     x: np.ndarray, problem: ParamProblem, track: EstimatorTrace, truth: ModelParams, times
 ) -> list[tuple[float, float]]:
     """(m*_t, m_t(truth)) at each checkpoint time t in times, from one
-    _plug_in solve over the last J = model_core._memory(a_max) steps before
-    every t (module docstring; the box bounds every plug-in |a|, and the
-    truth lies in it): the fitted track's plug-in steps max(tau+1, t-J+1)..t,
-    and the oracle as the plug-in frozen at the truth over steps
-    max(1, t-J+1)..t, which equals filter_stationary over x[max(0, t-J) .. t]
-    bit for bit. A window that ends non-finite is returned, not raised."""
-    memory = _memory(_largest_a(problem))
+    _plug_in solve over the last J steps before every t: the fitted track's
+    plug-in steps max(tau+1, t-J+1)..t, and the oracle as the plug-in frozen
+    at the truth over steps max(1, t-J+1)..t, which equals filter_stationary
+    over x[max(0, t-J) .. t] bit for bit. J = model_core._memory(a_max) with
+    a_max the larger of the box's largest |a|, which bounds every plug-in
+    |a|, and the truth's |a|, which the box need not hold (module
+    docstring). A window that ends non-finite is returned, not raised."""
+    memory = _memory(max(_largest_a(problem), abs(truth.a)))
     values = problem.values_of(truth)
     windows = []
     for t in times:

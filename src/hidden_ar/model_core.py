@@ -495,7 +495,8 @@ def _track_moments(params: ModelParams, unknown: tuple[str, ...]):
     """(sq, Pdot, beta, w, mu, cross) of fisher_info's derivation, as lists
     over a supported unknown set in canonical order (else UnsupportedSet),
     with C = (beta beta^T + cross)/(1 - A^2): cross holds the kappa/eps terms."""
-    if _SUPPORTED_SETS.get(frozenset(unknown)) != unknown:
+    given = tuple(unknown) if isinstance(unknown, (list, tuple)) else unknown
+    if _SUPPORTED_SETS.get(frozenset(unknown)) != given:
         raise UnsupportedSet(f"{unknown} is not a supported unknown set in canonical order")
     sq = stationary(params)
     a, A, root_p = params.a, sq.a_coef, math.sqrt(sq.p)
@@ -516,7 +517,8 @@ def _track_moments(params: ModelParams, unknown: tuple[str, ...]):
 def fisher_info(params: ModelParams, unknown: tuple[str, ...]) -> np.ndarray:
     """Fisher information matrix per observation at ``params``, shape
     (dim, dim), rows and columns in the order of ``unknown``, which must be
-    a supported unknown set in canonical order (else UnsupportedSet).
+    a supported unknown set in canonical order, a tuple or a list (else
+    UnsupportedSet).
 
     M_t = f*m_t satisfies M_t = a*M_{t-1} + B*z_t at the true point, with z
     the standardized innovations. Differentiating the observed-form filter in

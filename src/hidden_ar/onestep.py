@@ -46,21 +46,23 @@ from .moments import MmeEstimate, mme
 
 @dataclass(frozen=True)
 class EstimatorTrace:
-    """A one-step estimator path, stored as its correction sums: path rows
-    are formed only when read, by :meth:`rows`.
+    """A one-step estimator path, stored as its correction sums: the
+    estimate in force at a time is formed only when read, by :meth:`rows`.
 
     tau     : learning interval end (start of the correction sum)
     prelim  : preliminary estimate (canonical coordinate order)
     score_sums : shape (T - tau, dim); row j is sum_{s=tau+1..tau+1+j} g_s(prelim)
     inverse_information : I(prelim)^{-1}
-    problem : the estimation problem, whose bounds box clips every row
+    problem : the estimation problem, whose bounds box clips every path row
     prelim_estimate : the MME result with clip and degeneracy flags, or
               None when an explicit preliminary was supplied
 
-    ``path``, ``clipped``, ``t_grid`` and ``theta_at`` read through
-    :meth:`rows`: path row j is theta*_{t,T} at t = tau + 2 + j, clipped
-    flags the rows where any coordinate was clipped, and t_grid holds the
-    times tau+2 .. T.
+    :meth:`rows` covers every t in [tau, T]: the preliminary up to tau + 1,
+    never flagged (its own clipping is in prelim_estimate.clip_flags), and
+    theta*_{t,T} afterwards. ``path``, ``clipped``, ``t_grid`` and
+    ``theta_at`` read through it: path row j is theta*_{t,T} at
+    t = tau + 2 + j, clipped flags the path rows where any coordinate was
+    clipped, and t_grid holds the times tau+2 .. T.
     """
 
     tau: int
@@ -75,17 +77,23 @@ class EstimatorTrace:
         return self.tau + len(self.score_sums)
 
     def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """theta*_{t,T} for t = start..stop, tau + 2 <= start <= stop <= T,
-        and their per-row clip flags: the whole path's rows bit for bit, as
-        each row is formed from its own sums alone."""
+        """The estimate in force at t = start..stop, tau <= start <= stop <= T,
+        and per-row clip flags: a copy of the preliminary with flag False for
+        t <= tau + 1, then theta*_{t,T}, the whole path's rows bit for bit,
+        as each row is formed from its own sums alone."""
         start, stop = as_whole("start", start), as_whole("stop", stop)
-        if not self.tau + 2 <= start <= stop <= self.horizon:
-            raise ValueError(f"path rows cover [{self.tau + 2}, {self.horizon}], got [{start}, {stop}]")
-        lo, hi = start - self.tau - 1, stop - self.tau
+        if not self.tau <= start <= stop <= self.horizon:
+            raise ValueError(f"rows cover [{self.tau}, {self.horizon}], got [{start}, {stop}]")
+        head = max(0, min(stop, self.tau + 1) - start + 1)  # rows t <= tau + 1
+        lo, hi = start + head - self.tau - 1, stop - self.tau
         steps = np.arange(lo + 1, hi + 1, dtype=float)  # t - tau
         u = self.score_sums[lo:hi] @ self.inverse_information / steps[:, None]
         values, side = self.problem.clip(self.prelim[None, :] + u)
-        return values, side.any(axis=1)
+        flags = side.any(axis=1)
+        if head:
+            values = np.vstack([np.tile(self.prelim, (head, 1)), values])
+            flags = np.concatenate([np.zeros(head, dtype=bool), flags])
+        return values, flags
 
     @property
     def path(self) -> np.ndarray:
@@ -100,15 +108,8 @@ class EstimatorTrace:
         return np.arange(self.tau + 2, self.horizon + 1)
 
     def theta_at(self, t: int) -> np.ndarray:
-        """The estimate in force at a whole time t: the preliminary for
-        t <= tau + 1, the path value afterwards."""
-        t = as_whole("t", t)
-        if t < self.tau:
-            raise ValueError(f"no estimate before the learning interval end {self.tau}, got t={t}")
-        if t > self.horizon:
-            raise ValueError(f"t={t} beyond the horizon {self.horizon}")
-        if t <= self.tau + 1:
-            return self.prelim
+        """The estimate in force at a whole time t in [tau, T]: the row of
+        rows(t, t)."""
         return self.rows(t, t)[0][0]
 
 

@@ -336,6 +336,14 @@ class TestWindowEnds:
             assert np.array_equal(trace.theta_plug, theta)
             assert np.array_equal(trace.m_star, m)
 
+    @pytest.mark.parametrize("unknown", ALL_SETS, ids=",".join)
+    def test_plug_rows_are_the_estimates_in_force(self, unknown):
+        # Step s plugs in the estimate in force at s - 1: the rows of the
+        # fitted trace over [tau, T - 1], bit for bit.
+        x = simulate(REF, 2000, seed=94).x
+        trace = adaptive_filter(x, problem_for(REF, unknown))
+        assert np.array_equal(trace.theta_plug, trace.theta_track.rows(trace.tau, 1999)[0])
+
 
 class TestErrorReport:
     def test_rows(self, problem_b):

@@ -429,6 +429,21 @@ class TestAdaptiveWindow:
         assert _memory(0.999) > 2000
         assert _adaptive_rows(config) == _whole_track_rows(config)
 
+    def test_truth_outside_the_a_box(self):
+        # The box's J = 56 would cut the oracle, whose |A(theta_0)| = 0.904 at
+        # a = 0.99: J is taken at the truth's |a| as well (4183 > T), so the
+        # windows are the whole tracks.
+        config = small_config(
+            params=REF.replace(a=0.99, b=0.1),
+            problem=ParamProblem(unknown=("a",), bounds={"a": (-0.5, 0.5)}),
+            horizons=(4000,),
+            replications=1,
+            seed=0,
+            estimators=("adaptive",),
+        )
+        assert _memory(_largest_a(config.problem)) == 56 and _memory(0.99) > 4000
+        assert _adaptive_rows(config) == _whole_track_rows(config)
+
     @pytest.mark.parametrize(
         "unknown, a_max",
         [(unknown, 0.6) for unknown in ALL_SETS] + [(unknown, 0.999) for unknown in ALL_SETS if "a" in unknown],

@@ -448,6 +448,15 @@ class TestFisherInfo:
             with pytest.raises(UnsupportedSet):
                 fisher_info(REF, unknown)
 
+    def test_list_form_of_each_set(self):
+        # A list in canonical order is read as its tuple, bit for bit.
+        for unknown in ALL_SETS:
+            np.testing.assert_array_equal(fisher_info(REF, list(unknown)), fisher_info(REF, unknown))
+            assert s_star_limit(REF, list(unknown)) == s_star_limit(REF, unknown)
+        for unknown in (["a", "f"], ["sigma2", "a", "f"], ["a", "b"]):
+            with pytest.raises(UnsupportedSet):
+                fisher_info(REF, unknown)
+
     def test_matches_whittle_spectral_formula(self):
         # Independent oracle: for a stationary Gaussian series with spectral
         # density S, Whittle's formula gives the information per observation

@@ -83,6 +83,17 @@ class TestOneStepScalar:
         with pytest.raises(ValueError):
             trace.theta_at(1001)
 
+    def test_theta_at_returns_a_copy(self, problem_b):
+        # Editing the preliminary row theta_at gives out rewrites neither the
+        # trace's preliminary nor any later path row.
+        trace = one_step(simulate(REF, 2000, seed=1).x, problem_b)
+        prelim, last = trace.prelim.copy(), trace.theta_at(2000)
+        v = trace.theta_at(trace.tau)
+        v -= 0.5
+        np.testing.assert_array_equal(trace.prelim, prelim)
+        np.testing.assert_array_equal(trace.theta_at(trace.tau + 1), prelim)
+        np.testing.assert_array_equal(trace.theta_at(2000), last)
+
     def test_theta_at_whole_float(self, problem_b):
         # A whole float is a time; any other float raises ValueError, not
         # numpy's IndexError.
@@ -250,8 +261,17 @@ def test_rows_are_slices_of_the_whole_path(unknown):
         np.testing.assert_array_equal(clipped, flags[start - tau - 2 : stop - tau - 1])
     for t in (tau + 2, (tau + horizon) // 2, horizon):
         np.testing.assert_array_equal(trace.theta_at(t), whole[t - tau - 2])
-    for start, stop in ((tau + 1, tau + 5), (tau + 5, tau + 4), (horizon, horizon + 1)):
-        with pytest.raises(ValueError, match="path rows cover"):
+    # Rows at t <= tau + 1 are the preliminary in force there, never flagged,
+    # though the +-0.1 box may have clipped the preliminary itself.
+    for start, stop in ((tau, tau), (tau, tau + 1), (tau + 1, tau + 1), (tau, tau + 5), (tau + 1, horizon)):
+        values, clipped = trace.rows(start, stop)
+        head = min(stop, tau + 1) - start + 1
+        np.testing.assert_array_equal(values[:head], np.tile(trace.prelim, (head, 1)))
+        assert not clipped[:head].any()
+        np.testing.assert_array_equal(values[head:], whole[: max(0, stop - tau - 1)])
+        np.testing.assert_array_equal(clipped[head:], flags[: max(0, stop - tau - 1)])
+    for start, stop in ((tau - 1, tau + 5), (tau + 5, tau + 4), (horizon, horizon + 1)):
+        with pytest.raises(ValueError, match="rows cover"):
             trace.rows(start, stop)
     # Whole floats are read as theta_at reads t; anything else is a ValueError.
     np.testing.assert_array_equal(trace.rows(tau + 2.0, float(horizon))[0], whole)
